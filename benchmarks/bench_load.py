@@ -108,8 +108,7 @@ def serving(wiki_corpus, config, tokenizer, quick):
         rng = np.random.default_rng(0)
         predictors = {task: build_predictor(task, encoder, corpus, rng)
                       for task in SERVED_TASKS}
-        return InferenceEngine(
-            predictors, ServeConfig(max_batch=8, cache_entries=256))
+        return InferenceEngine(predictors, ServeConfig(cache_entries=256))
 
     return build_engine, _zipf_traffic(corpus, count)
 

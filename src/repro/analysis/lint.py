@@ -16,8 +16,7 @@ Rules — each guards a convention the rest of the codebase relies on:
   packages other tooling introspects.
 - **REPRO006** op math must go through the backend: inside ``nn/`` only
   the backend seam itself (``backend.py``, ``compile.py``, ``tensor.py``,
-  ``optim.py``) may do raw ``.data`` arithmetic, and the deprecated
-  ``Tensor._make`` constructor may not be called anywhere — both bypass
+  ``optim.py``) may do raw ``.data`` arithmetic — elsewhere it bypasses
   the :mod:`repro.nn.backend` op registry, so compiled replay and any
   future non-numpy backend would silently disagree with eager mode.
 - **REPRO007** no silent exception swallowing: bare ``except:`` is
@@ -197,11 +196,6 @@ class _Visitor(ast.NodeVisitor):
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "forward"):
             self._report("REPRO004", node)
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_make"
-                and not self.in_backend_seam):
-            self._report("REPRO006", node,
-                         "Tensor._make bypasses the backend op registry")
         self.generic_visit(node)
 
     def visit_With(self, node: ast.With) -> None:

@@ -190,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--out", default=None, metavar="PATH",
                          help="write responses to this JSONL file "
                               "(default: stdout)")
-    predict.add_argument("--max-batch", type=int, default=8)
-    predict.add_argument("--max-wait", type=float, default=0.02,
-                         help="micro-batch deadline in seconds")
     predict.add_argument("--cache-entries", type=int, default=128)
     predict.add_argument("--compile", action="store_true",
                          help="serve through compiled tape-replay encoders "
@@ -208,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="model name or pretrained bundle directory")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--max-batch", type=int, default=8)
-    serve.add_argument("--max-wait", type=float, default=0.02,
-                       help="micro-batch deadline in seconds")
+    serve.add_argument("--max-batch", type=int, default=8,
+                       help="most requests the front-end sends to one "
+                            "replica at a time")
     serve.add_argument("--cache-entries", type=int, default=128)
     serve.add_argument("--max-requests", type=int, default=None,
                        help="exit after this many HTTP requests "
@@ -583,9 +580,7 @@ def _build_engine(args: argparse.Namespace):
     model = _resolve_model(args.model, tables, args.seed)
     rng = np.random.default_rng(args.seed)
     try:
-        config = ServeConfig(max_batch=args.max_batch,
-                             max_wait_seconds=args.max_wait,
-                             cache_entries=args.cache_entries,
+        config = ServeConfig(cache_entries=args.cache_entries,
                              compile=getattr(args, "compile", False))
         predictors = {task: build_predictor(task, model, tables, rng)
                       for task in SERVED_TASKS}

@@ -17,8 +17,9 @@ re-exported here and stable:
   :func:`binding_signature`, :func:`plan_buffers`) — record one eager
   step, replay it without graph bookkeeping, bit-identically.
 
-``Tensor._make`` and raw ``.data`` arithmetic are implementation details
-of the backend seam; outside it they are deprecated (lint rule REPRO006).
+Every op dispatches through ``Tensor._apply`` into the backend registry;
+raw ``.data`` arithmetic is an implementation detail of the backend seam
+and is flagged anywhere else in ``nn/`` (lint rule REPRO006).
 """
 
 from .attention import MultiHeadAttention, causal_mask, padding_mask

@@ -25,7 +25,6 @@ suite (``tests/nn/test_tensor.py``).
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -233,8 +232,8 @@ class Tensor:
         Runs the backend ``forward`` kernel, wraps the result in a
         ``Tensor`` (slim in inference mode), attaches a generic backward
         closure invoking the backend ``vjp``, and notifies the profiling
-        hook / recorder.  This replaces the per-op ``_make`` closures the
-        pre-backend design used.
+        hook / recorder.  It is the only way a tape node is built: op math
+        that bypasses it is invisible to the compiled executor.
         """
         if params is None:
             params = {}
@@ -286,46 +285,6 @@ class Tensor:
             _TAPE_ON_NODE(out)
         if _RECORDER is not None:
             _RECORDER.record(name, inputs, params, out)
-        return out
-
-    def _make(
-        self,
-        data: np.ndarray,
-        parents: tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
-        op: str,
-    ) -> "Tensor":
-        """Deprecated: build a tape node from a hand-written closure.
-
-        Op math must go through the backend op table (``_apply``) so the
-        compiled executor can capture and replay it; ad-hoc closures are
-        invisible to recording.  Kept for one release for external
-        callers.
-        """
-        warnings.warn(
-            "Tensor._make is deprecated: register an OpDef with the "
-            "backend and dispatch through it instead (see "
-            "repro.nn.backend); hand-written closures cannot be captured "
-            "by repro.nn.compile.",
-            DeprecationWarning, stacklevel=2)
-        if _INFERENCE_MODE:
-            out = Tensor.__new__(Tensor)
-            out.data = data
-            out.requires_grad = False
-            out.grad = None
-            out._parents = ()
-            out._backward = None
-            out._op = op
-            return out
-        if _TAPE_HOOK is not None:
-            _TAPE_HOOK.on_forward(op, data.nbytes)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor(data)
-        out = Tensor(data, requires_grad=True, _parents=parents,
-                     _backward=backward, _op=op)
-        if _TAPE_ON_NODE is not None:
-            _TAPE_ON_NODE(out)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:

@@ -13,7 +13,6 @@ stores) deliberately excludes ``workers``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .faults import FaultPlan
@@ -152,7 +151,3 @@ class FixedClock:
         self._now += self.tick
         return self._now
 
-
-# Re-exported so callers can write ``clock=parallel.config.DEFAULT_CLOCK``
-# symmetric with serve.DynamicBatcher's injectable clock.
-DEFAULT_CLOCK = time.perf_counter

@@ -92,12 +92,22 @@ def _send_frame(connection, frame: tuple, lock: threading.Lock) -> bool:
         return False
 
 
-def _worker_main(connection, slot: int, generation: int,
+def _worker_main(connection, inherited: list, slot: int, generation: int,
                  run_shard: Callable[[Any], tuple[dict, dict]],
                  sync: Callable[[list[np.ndarray]], None],
                  heartbeat_interval: float,
                  fault_plan: FaultPlan | None) -> None:
-    """Child loop: recv a step, heartbeat while computing, reply."""
+    """Child loop: recv a step, heartbeat while computing, reply.
+
+    ``inherited`` holds the parent-side pipe ends the fork copied in —
+    this worker's own and every live sibling's.  They are closed first:
+    while the child holds one, its parent end of its own pipe never
+    reaches zero references, so a parent killed outright (SIGKILL, no
+    ``stop`` frame) would leave ``recv`` blocked forever instead of
+    raising ``EOFError``.
+    """
+    for stale in inherited:
+        stale.close()
     lock = threading.Lock()
     busy = threading.Event()
     stopping = threading.Event()
@@ -235,10 +245,12 @@ class WorkerPool:
         self._generations[slot] = generation
         context = self._context()
         parent_end, child_end = context.Pipe()
+        inherited = [parent_end, *(handle.connection
+                                   for handle in self._handles.values())]
         process = context.Process(
             target=_worker_main,
-            args=(child_end, slot, generation, self._run_shard, self._sync,
-                  self._heartbeat_interval, self._fault_plan),
+            args=(child_end, inherited, slot, generation, self._run_shard,
+                  self._sync, self._heartbeat_interval, self._fault_plan),
             daemon=True)
         process.start()
         child_end.close()

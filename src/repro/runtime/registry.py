@@ -122,7 +122,7 @@ class Timer:  # thread-shared
     """Accumulates durations; use :meth:`time` as a context manager.
 
     The time source is injectable (same pattern as
-    ``serve.DynamicBatcher``), so tests measure deterministic fake
+    ``ReplicatedFrontend``'s clock), so tests measure deterministic fake
     seconds instead of sleeping.  A bounded :class:`_Reservoir` of
     recent observations backs :meth:`percentile` (tail-latency SLOs).
     """

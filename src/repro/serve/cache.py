@@ -48,6 +48,9 @@ from ..tables import Table
 __all__ = ["EncodingCache", "feature_fingerprint", "model_fingerprint",
            "table_fingerprint"]
 
+#: Namespace of the cache's hit/miss/eviction counters.
+_METRICS_PREFIX = "serve.cache"
+
 _FEATURE_FIELDS = ("token_ids", "positions", "row_ids", "column_ids",
                    "roles", "entity_ids", "numeric_features")
 
@@ -120,18 +123,14 @@ class EncodingCache:  # thread-shared
     ----------
     max_entries:
         Entry budget; the least recently used entry is evicted past it.
-    metrics_prefix:
-        Instrument namespace in the global registry.
     """
 
     _encoder_tokens = itertools.count()
 
-    def __init__(self, max_entries: int = 128,
-                 metrics_prefix: str = "serve.cache") -> None:
+    def __init__(self, max_entries: int = 128) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.metrics_prefix = metrics_prefix
         self._entries: "OrderedDict[tuple[str, str], np.ndarray]" = OrderedDict()  # guarded-by: _lock
         self._feature_entries: "OrderedDict[tuple[int, str], tuple]" = \
             OrderedDict()  # guarded-by: _lock
@@ -166,7 +165,7 @@ class EncodingCache:  # thread-shared
     # ------------------------------------------------------------------
     def _count(self, what: str, amount: int = 1) -> None:
         if amount:
-            get_registry().counter(f"{self.metrics_prefix}.{what}").inc(amount)
+            get_registry().counter(f"{_METRICS_PREFIX}.{what}").inc(amount)
 
     def lookup(self, key: tuple[str, str]) -> np.ndarray | None:
         """Fetch an entry and mark it most recently used (no counters)."""

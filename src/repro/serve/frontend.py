@@ -62,6 +62,9 @@ __all__ = ["FrontendConfig", "ServeTicket", "AdmissionQueue",
 #: detection latency, never correctness.
 _POLL_GRANULARITY = 0.02
 
+#: Namespace of every front-end instrument in the global registry.
+_METRICS_PREFIX = "serve.frontend"
+
 
 @dataclass(frozen=True)
 class FrontendConfig:
@@ -84,7 +87,6 @@ class FrontendConfig:
     dispatch_deadline: float = 0.0
     max_respawns: int = 2
     respawn_backoff: float = 0.05
-    metrics_prefix: str = "serve.frontend"
 
     def __post_init__(self) -> None:
         if self.replicas < 0:
@@ -404,20 +406,20 @@ class ReplicatedFrontend:  # thread-shared
                     affinity_key(task, example), now, deadline_at))
                 self._next_id += 1
         registry = get_registry()
-        prefix = self.config.metrics_prefix
-        registry.counter(f"{prefix}.requests").inc(len(tickets))
+        registry.counter(f"{_METRICS_PREFIX}.requests").inc(len(tickets))
         verdicts = self.queue.admit_many(tickets)
         for ticket, admitted in zip(tickets, verdicts):
             if admitted:
                 continue
-            registry.counter(f"{prefix}.shed").inc()
+            registry.counter(f"{_METRICS_PREFIX}.shed").inc()
             registry.emit({"kind": "frontend", "action": "shed",
                            "id": ticket.request_id, "task": ticket.task,
                            "queue_depth": len(self.queue)})
             ticket.fail("overloaded",
                         f"admission queue full ({self.config.max_queue}); "
                         "retry with backoff", True)
-        registry.histogram(f"{prefix}.queue_depth").observe(len(self.queue))
+        registry.histogram(f"{_METRICS_PREFIX}.queue_depth").observe(
+            len(self.queue))
         return tickets
 
     def process(self, submissions: list[tuple[str, Any]],
@@ -460,7 +462,6 @@ class ReplicatedFrontend:  # thread-shared
     def healthz(self) -> dict[str, Any]:
         """Liveness plus the gauges an operator pages on."""
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         live = self.live_replicas()
         configured = self.config.replicas
         fleet: dict[str, int] = {"entries": 0, "hits": 0, "misses": 0,
@@ -484,9 +485,9 @@ class ReplicatedFrontend:  # thread-shared
             "queue_depth": self.queue_depth,
             "max_queue": self.config.max_queue,
             "inflight_waves": inflight_waves,
-            "shed": int(registry.counter(f"{prefix}.shed").value),
-            "deadline_expired":
-                int(registry.counter(f"{prefix}.deadline_expired").value),
+            "shed": int(registry.counter(f"{_METRICS_PREFIX}.shed").value),
+            "deadline_expired": int(registry.counter(
+                f"{_METRICS_PREFIX}.deadline_expired").value),
             "cache": fleet,
         }
 
@@ -560,9 +561,8 @@ class ReplicatedFrontend:  # thread-shared
         if not tickets:
             return
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         for ticket in tickets:
-            registry.counter(f"{prefix}.deadline_expired").inc()
+            registry.counter(f"{_METRICS_PREFIX}.deadline_expired").inc()
             registry.emit({"kind": "frontend", "action": "deadline_expired",
                            "id": ticket.request_id, "task": ticket.task,
                            "where": where})
@@ -607,7 +607,6 @@ class ReplicatedFrontend:  # thread-shared
             wave_id = self._wave_ids
             self._wave_ids += 1
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         try:
             # Pipe send stays outside _state_lock; only the dispatcher
             # sends, so registering the wave after the send is safe.
@@ -619,8 +618,8 @@ class ReplicatedFrontend:  # thread-shared
             return
         with self._state_lock:
             self._inflight[slot] = (wave_id, batch, time.monotonic())
-        registry.counter(f"{prefix}.dispatches").inc()
-        registry.histogram(f"{prefix}.wave_size").observe(len(batch))
+        registry.counter(f"{_METRICS_PREFIX}.dispatches").inc()
+        registry.histogram(f"{_METRICS_PREFIX}.wave_size").observe(len(batch))
 
     def _execute_inline(self, batch: list[ServeTicket]) -> None:
         """Serve a wave in the parent process (replicas=0 or fully degraded).
@@ -628,12 +627,11 @@ class ReplicatedFrontend:  # thread-shared
         Byte-identical to a replica serving it: same engine, same
         canonical per-example numerics.
         """
-        prefix = self.config.metrics_prefix
         registry = get_registry()
         if self._pool is not None:
-            registry.counter(f"{prefix}.fallbacks").inc()
-        registry.counter(f"{prefix}.dispatches").inc()
-        registry.histogram(f"{prefix}.wave_size").observe(len(batch))
+            registry.counter(f"{_METRICS_PREFIX}.fallbacks").inc()
+        registry.counter(f"{_METRICS_PREFIX}.dispatches").inc()
+        registry.histogram(f"{_METRICS_PREFIX}.wave_size").observe(len(batch))
         payload = [(t.request_id, t.task, t.example) for t in batch]
         result, _stats = self._serve_shard(payload)
         self._complete_wave(batch, result, replica=-1)
@@ -705,17 +703,15 @@ class ReplicatedFrontend:  # thread-shared
         survivors = [t for t in batch if not t.expired(now)]
         if survivors:
             get_registry().counter(
-                f"{self.config.metrics_prefix}.redispatched").inc(
-                    len(survivors))
+                f"{_METRICS_PREFIX}.redispatched").inc(len(survivors))
             self.queue.requeue(survivors)
 
     def _handle_loss(self, slot: int, reason: str) -> None:
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         self._pool.reap(slot)
         with self._state_lock:
             self._replica_cache.pop(slot, None)
-        registry.counter(f"{prefix}.worker_deaths").inc()
+        registry.counter(f"{_METRICS_PREFIX}.worker_deaths").inc()
         registry.emit({"kind": "frontend", "action": "worker_death",
                        "worker": slot, "reason": reason})
         attempts = self._respawn_attempts.get(slot, 0)
@@ -725,14 +721,14 @@ class ReplicatedFrontend:  # thread-shared
             if backoff > 0:
                 time.sleep(backoff)
             self._pool.respawn(slot)
-            registry.counter(f"{prefix}.respawns").inc()
+            registry.counter(f"{_METRICS_PREFIX}.respawns").inc()
             registry.emit({"kind": "frontend", "action": "worker_respawn",
                            "worker": slot,
                            "reason": f"respawn {attempts + 1}/"
                                      f"{self.config.max_respawns} after "
                                      f"{backoff:g}s backoff"})
             return
-        registry.counter(f"{prefix}.degraded").inc()
+        registry.counter(f"{_METRICS_PREFIX}.degraded").inc()
         registry.emit({"kind": "frontend", "action": "pool_degraded",
                        "worker": slot,
                        "reason": f"slot retired after {attempts} respawns; "
@@ -746,7 +742,6 @@ class ReplicatedFrontend:  # thread-shared
                 self._replica_cache[replica] = result["cache"]
         now = self.clock()
         registry = get_registry()
-        prefix = self.config.metrics_prefix
         late = [ticket for ticket in batch if ticket.expired(now)]
         self._fail_expired(late, "in flight")
         for entry in result.get("responses", []):
@@ -758,7 +753,8 @@ class ReplicatedFrontend:  # thread-shared
                             False)
                 continue
             latency = max(0.0, now - ticket.arrived)
-            registry.timer(f"{prefix}.latency_seconds").observe(latency)
+            registry.timer(f"{_METRICS_PREFIX}.latency_seconds").observe(
+                latency)
             registry.emit({
                 "kind": "frontend", "action": "answered",
                 "id": ticket.request_id, "task": ticket.task,

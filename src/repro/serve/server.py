@@ -2,8 +2,7 @@
 threaded server and the replicated front-end.
 
 One :class:`ServerConfig`-driven entry point — :func:`run_server` —
-replaces the old ``make_server``/``serve_forever`` pair (both remain as
-thin deprecated shims).  The wire surface is versioned:
+builds and runs the server.  The wire surface is versioned:
 
 - ``POST /v1/predict`` — JSON body ``{"task": ..., <task inputs>}`` or a
   JSON list of such objects (a client-side batch, admitted atomically so
@@ -12,9 +11,8 @@ thin deprecated shims).  The wire surface is versioned:
 - ``GET /v1/metrics`` — the registry's full instrument snapshot
   (counters, timers with p50/p99, histograms).
 
-Legacy unversioned paths (``/predict``, ``/healthz``, ``/metrics``)
-still answer identically but carry a ``Deprecation: true`` header and a
-``Link: …; rel="successor-version"`` pointer.
+Any other path, unversioned ones included, answers 404 with the
+``not_found`` envelope.
 
 Every error is a structured envelope —
 ``{"error": {"code", "message", "retryable"}}`` — never an ad-hoc
@@ -43,7 +41,6 @@ must declare its guard; the lock-order hierarchy lives in
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -53,8 +50,7 @@ from .frontend import FrontendConfig, ReplicatedFrontend, ServeTicket
 from .requests import RequestError, build_example
 from ..runtime import get_registry
 
-__all__ = ["ServerConfig", "run_server", "make_http_server",
-           "make_server", "serve_forever"]
+__all__ = ["ServerConfig", "run_server", "make_http_server"]
 
 #: ticket error code → HTTP status.  Unlisted codes are server bugs.
 _ERROR_STATUS = {
@@ -162,46 +158,31 @@ def make_http_server(engine: InferenceEngine,
                                  "line": format % args})
 
         # -- plumbing ---------------------------------------------------
-        def _reply(self, status: int, payload: Any, *,
-                   deprecated: bool = False,
-                   successor: str | None = None) -> None:
+        def _reply(self, status: int, payload: Any) -> None:
             body = json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            if deprecated:
-                self.send_header("Deprecation", "true")
-                if successor:
-                    self.send_header(
-                        "Link", f'<{successor}>; rel="successor-version"')
             self.end_headers()
             self.wfile.write(body)
 
-        def _route(self, path: str) -> tuple[str | None, bool]:
-            """``(endpoint, legacy?)`` — legacy paths answer deprecated."""
-            if path.startswith("/v1/"):
-                return path[len("/v1"):], False
-            return path, True
+        def _not_found(self) -> None:
+            self._reply(404, _error_body(
+                "not_found", f"unknown path {self.path}", False))
 
         # -- GET --------------------------------------------------------
         def do_GET(self) -> None:
-            endpoint, legacy = self._route(self.path)
-            if endpoint == "/healthz":
-                self._reply(200, frontend.healthz(), deprecated=legacy,
-                            successor="/v1/healthz")
-            elif endpoint == "/metrics":
-                self._reply(200, get_registry().snapshot(),
-                            deprecated=legacy, successor="/v1/metrics")
+            if self.path == "/v1/healthz":
+                self._reply(200, frontend.healthz())
+            elif self.path == "/v1/metrics":
+                self._reply(200, get_registry().snapshot())
             else:
-                self._reply(404, _error_body(
-                    "not_found", f"unknown path {self.path}", False))
+                self._not_found()
 
         # -- POST -------------------------------------------------------
         def do_POST(self) -> None:
-            endpoint, legacy = self._route(self.path)
-            if endpoint != "/predict":
-                self._reply(404, _error_body(
-                    "not_found", f"unknown path {self.path}", False))
+            if self.path != "/v1/predict":
+                self._not_found()
                 return
             length = int(self.headers.get("Content-Length", 0))
             try:
@@ -209,16 +190,14 @@ def make_http_server(engine: InferenceEngine,
                 single, submissions = _decode_body(body)
             except (json.JSONDecodeError, RequestError) as error:
                 self._reply(400, _error_body("bad_request", str(error),
-                                             False),
-                            deprecated=legacy, successor="/v1/predict")
+                                             False))
                 return
             frontend.start()
             try:
                 tickets = frontend.submit_many(submissions)
             except KeyError as error:
                 self._reply(400, _error_body("bad_request", str(error),
-                                             False),
-                            deprecated=legacy, successor="/v1/predict")
+                                             False))
                 return
             payloads = [self._await(ticket) for ticket in tickets]
             if single:
@@ -226,13 +205,11 @@ def make_http_server(engine: InferenceEngine,
                 status = 200
                 if "error" in payload:
                     status = _ERROR_STATUS.get(payload["error"]["code"], 500)
-                self._reply(status, payload, deprecated=legacy,
-                            successor="/v1/predict")
+                self._reply(status, payload)
             else:
                 # Client-side batches answer 200 with per-item payloads
                 # (each either a response or an error envelope).
-                self._reply(200, payloads, deprecated=legacy,
-                            successor="/v1/predict")
+                self._reply(200, payloads)
 
         @staticmethod
         def _await(ticket: ServeTicket) -> dict[str, Any]:
@@ -261,35 +238,10 @@ def run_server(engine: InferenceEngine,
     config = config or ServerConfig()
     server = make_http_server(engine, config)
     try:
-        if config.max_requests is None:
-            server.serve_forever()
-        else:
-            for _ in range(config.max_requests):
-                server.handle_request()
+        handled = 0
+        while config.max_requests is None or handled < config.max_requests:
+            server.handle_request()
+            handled += 1
     finally:
         server.server_close()
 
-
-# ----------------------------------------------------------------------
-# Deprecated shims (the pre-v1 Python API)
-# ----------------------------------------------------------------------
-def make_server(engine: InferenceEngine, host: str = "127.0.0.1",
-                port: int = 8080) -> ThreadingHTTPServer:
-    """Deprecated: use ``run_server(engine, ServerConfig(...))``."""
-    warnings.warn(
-        "make_server is deprecated; use "
-        "repro.serve.run_server(engine, ServerConfig(host=..., port=...))",
-        DeprecationWarning, stacklevel=2)
-    return make_http_server(engine, ServerConfig(host=host, port=port))
-
-
-def serve_forever(engine: InferenceEngine, host: str = "127.0.0.1",
-                  port: int = 8080, max_requests: int | None = None) -> None:
-    """Deprecated: use ``run_server(engine, ServerConfig(...))``."""
-    warnings.warn(
-        "serve_forever is deprecated; use "
-        "repro.serve.run_server(engine, ServerConfig(host=..., port=..., "
-        "max_requests=...))",
-        DeprecationWarning, stacklevel=2)
-    run_server(engine, ServerConfig(host=host, port=port,
-                                    max_requests=max_requests))

@@ -11,7 +11,6 @@ import numpy as np
 
 from .common import (
     Prediction,
-    deprecated_predict_alias,
     pooled_span,
     predict_in_batches,
 )
@@ -96,11 +95,6 @@ class ColumnTypePredictor(Module):
         """Predicted semantic column types with softmax confidence."""
         return predict_in_batches(self, examples, batch_size,
                                   self._predict_batch)
-
-    def predict_labels(self, examples: list[ColumnTypeExample]) -> list[str]:
-        """Deprecated pre-protocol surface: bare label strings."""
-        deprecated_predict_alias("ColumnTypePredictor.predict_labels")
-        return [p.label for p in self.predict(examples)]
 
     def evaluate(self, examples: list[ColumnTypeExample]) -> dict[str, float]:
         predictions = [p.label for p in self.predict(examples)]

@@ -17,7 +17,6 @@ confidence score, and free-form extras.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, runtime_checkable
 
@@ -80,7 +79,7 @@ def predict_in_batches(module, examples: list, batch_size: int,
     The ``module.inference()`` scope is also what routes encoders with
     compiled inference enabled
     (:meth:`~repro.models.TableEncoder.enable_compiled_inference`, see
-    ``InferenceEngine(compile=True)``) through their tape-replay
+    ``ServeConfig(compile=True)``) through their tape-replay
     executor: the encoder's forward template only consults its recorded
     programs while ``is_inference_mode()`` holds, so training-time
     forwards keep building an autograd tape.
@@ -95,13 +94,6 @@ def predict_in_batches(module, examples: list, batch_size: int,
             predictions.extend(predict_batch(examples[start:start + batch_size]))
     return predictions
 
-
-def deprecated_predict_alias(old_name: str) -> None:
-    """Warn that a pre-protocol inference method was called."""
-    warnings.warn(
-        f"{old_name} is deprecated; use predict(examples) -> list[Prediction] "
-        "and read .label from each prediction",
-        DeprecationWarning, stacklevel=3)
 
 # How many healthy steps between refreshes of the in-memory rollback
 # snapshot the health guard falls back to after a bad-step streak.

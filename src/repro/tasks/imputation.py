@@ -19,7 +19,6 @@ import numpy as np
 
 from .common import (
     Prediction,
-    deprecated_predict_alias,
     pooled_span,
     predict_in_batches,
 )
@@ -165,11 +164,6 @@ class ValueImputer(_ImputerBase):
         return predict_in_batches(self, examples, batch_size,
                                   self._predict_batch)
 
-    def predict_labels(self, examples: list[ImputationExample]) -> list[str]:
-        """Deprecated pre-protocol surface: bare value strings."""
-        deprecated_predict_alias("ValueImputer.predict_labels")
-        return [p.label for p in self.predict(examples)]
-
     def evaluate(self, examples: list[ImputationExample]) -> dict[str, float]:
         """Accuracy and macro-F1 over gold values (hands-on §3.4 metric)."""
         predictions = [p.label for p in self.predict(examples)]
@@ -224,12 +218,6 @@ class EntityImputer(_ImputerBase):
         """Predicted KB entity ids (``label=None`` for the no-entity slot)."""
         return predict_in_batches(self, examples, batch_size,
                                   self._predict_batch)
-
-    def predict_labels(self, examples: list[ImputationExample]
-                       ) -> list[int | None]:
-        """Deprecated pre-protocol surface: bare entity ids."""
-        deprecated_predict_alias("EntityImputer.predict_labels")
-        return [p.label for p in self.predict(examples)]
 
     def evaluate(self, examples: list[ImputationExample]) -> dict[str, float]:
         scored = [e for e in examples if e.answer_entity_id is not None]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import Prediction, deprecated_predict_alias, predict_in_batches
+from .common import Prediction, predict_in_batches
 from ..corpus import NLIExample
 from ..eval import accuracy, precision_recall_f1
 from ..models import ClassificationHead, TableEncoder
@@ -57,11 +57,6 @@ class NliClassifier(Module):
         """Entail(1)/refute(0) verdict with its softmax confidence."""
         return predict_in_batches(self, examples, batch_size,
                                   self._predict_batch)
-
-    def predict_labels(self, examples: list[NLIExample]) -> list[int]:
-        """Deprecated pre-protocol surface: bare 0/1 labels."""
-        deprecated_predict_alias("NliClassifier.predict_labels")
-        return [p.label for p in self.predict(examples)]
 
     def evaluate(self, examples: list[NLIExample]) -> dict[str, float]:
         predictions = [p.label for p in self.predict(examples)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import Prediction, deprecated_predict_alias, predict_in_batches
+from .common import Prediction, predict_in_batches
 from ..corpus import QAExample
 from ..models import CellSelectionHead, TableEncoder, Tapas
 from ..nn import Module, Tensor
@@ -91,12 +91,6 @@ class CellSelectionQA(Module):
         """Top-scoring cell per example (``label=None`` without cells)."""
         return predict_in_batches(self, examples, batch_size,
                                   self._predict_batch)
-
-    def predict_labels(self, examples: list[QAExample]
-                       ) -> list[tuple[int, int] | None]:
-        """Deprecated pre-protocol surface: bare coordinates."""
-        deprecated_predict_alias("CellSelectionQA.predict_labels")
-        return [p.label for p in self.predict(examples)]
 
     def evaluate(self, examples: list[QAExample]) -> dict[str, float]:
         """Cell hit rate and denotation-value hit rate."""

@@ -19,7 +19,6 @@ import numpy as np
 
 from .common import (
     Prediction,
-    deprecated_predict_alias,
     pooled_span,
     predict_in_batches,
 )
@@ -189,12 +188,6 @@ class SketchParser(Module):
         """
         return predict_in_batches(self, examples, batch_size,
                                   self._predict_batch)
-
-    def predict_labels(self, examples: list[Text2SqlExample]
-                       ) -> list[SelectQuery | None]:
-        """Deprecated pre-protocol surface: bare sketches."""
-        deprecated_predict_alias("SketchParser.predict_labels")
-        return [p.label for p in self.predict(examples)]
 
     def evaluate(self, examples: list[Text2SqlExample]) -> dict[str, float]:
         """Sketch exact-match and executed denotation accuracy."""

@@ -121,17 +121,6 @@ def test_repro006_backend_seam_is_exempt():
         assert _findings(source, path=f"src/repro/nn/{seam}") == []
 
 
-def test_repro006_make_call_fires_everywhere_but_the_seam():
-    source = """
-        y = Tensor._make(data, parents)
-    """
-    assert _rules(_findings(source, path="src/repro/nn/layers.py")) == [
-        "REPRO006"]
-    assert _rules(_findings(source, path="src/repro/tasks/qa.py")) == [
-        "REPRO006"]
-    assert _findings(source, path="src/repro/nn/backend.py") == []
-
-
 def test_repro007_bare_except_fires():
     findings = _findings("""
         try:

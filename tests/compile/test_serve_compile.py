@@ -1,4 +1,4 @@
-"""InferenceEngine(compile=True) must serve bit-identical predictions."""
+"""ServeConfig(compile=True) must serve bit-identical predictions."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,7 @@ def make_nli(make_model):
 
 
 def run_engine(nli, tables, compile_flag):
-    engine = InferenceEngine({"nli": nli}, ServeConfig(max_batch=4),
-                             compile=compile_flag)
+    engine = InferenceEngine({"nli": nli}, ServeConfig(compile=compile_flag))
     submissions = [("nli", NLIExample(tables[i % 6], f"statement {i}", 0))
                    for i in range(12)]
     responses = engine.process(submissions)
@@ -39,8 +38,3 @@ class TestServeCompile:
     def test_compile_off_leaves_encoder_eager(self, make_nli, wiki_tables):
         engine, _ = run_engine(make_nli(), wiki_tables, False)
         assert engine.predictors["nli"].encoder._compiled_inference is None
-
-    def test_constructor_override_beats_config(self, make_nli):
-        engine = InferenceEngine({"nli": make_nli()},
-                                 ServeConfig(compile=True), compile=False)
-        assert engine.config.compile is False

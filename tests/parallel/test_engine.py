@@ -1,5 +1,13 @@
 """Unit tests for the engine layers: plan, reduce, workers, scheduling."""
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +27,28 @@ from repro.parallel import (
     tree_reduce_grads,
 )
 from repro.runtime import MetricsRegistry, using_registry
+
+# Starts two idle workers, reports their pids, then dies without any
+# chance to stop them — the way an OOM kill or `kill -9` ends a parent.
+_ORPHAN_DRIVER = """
+import os, signal
+from repro.parallel import WorkerPool
+
+pool = WorkerPool(2, lambda payload: ({}, {}), lambda arrays: None)
+pool.start()
+print(*(pool.handle(slot).process.pid for slot in pool.live_slots()),
+      flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _exited(pid: int) -> bool:
+    """Gone, or a zombie nobody has reaped yet: either way not running."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
 
 
 class TestConfig:
@@ -248,6 +278,33 @@ class TestWorkerPool:
             assert not process.is_alive()
             assert process.exitcode is not None, "zombie child after close"
         assert pool.live_slots() == []
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process state from /proc")
+    def test_children_exit_when_parent_is_killed(self):
+        env = dict(os.environ)
+        repo_src = str(Path(__file__).resolve().parents[2] / "src")
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (repo_src + os.pathsep + existing
+                             if existing else repo_src)
+        driver = subprocess.Popen([sys.executable, "-c", _ORPHAN_DRIVER],
+                                  env=env, stdout=subprocess.PIPE, text=True)
+        pids: list[int] = []
+        try:
+            pids = [int(pid) for pid in driver.stdout.readline().split()]
+            assert driver.wait(timeout=60) == -signal.SIGKILL
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10.0
+            while (not all(_exited(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert all(_exited(pid) for pid in pids), \
+                "a worker outlived its SIGKILLed parent"
+        finally:
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            driver.stdout.close()
 
     def test_reap_then_respawn_increments_generation(self):
         pool = WorkerPool(1, lambda payload: ({}, {}), lambda arrays: None)

@@ -1,4 +1,4 @@
-"""InferenceEngine: dispatch, deadlines, telemetry, request decoding."""
+"""InferenceEngine: dispatch, telemetry, request decoding."""
 
 import numpy as np
 import pytest
@@ -19,17 +19,6 @@ from repro.sql import Aggregate, SelectQuery
 from repro.tasks import NliClassifier
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 @pytest.fixture
 def nli(encoder):
     return NliClassifier(encoder, np.random.default_rng(0))
@@ -43,33 +32,11 @@ class TestDispatch:
     def test_submit_unknown_task(self, nli):
         engine = InferenceEngine({"nli": nli})
         with pytest.raises(KeyError):
-            engine.submit("qa", object())
-
-    def test_poll_answers_due_batches_only(self, nli, serve_tables):
-        clock = FakeClock()
-        engine = InferenceEngine(
-            {"nli": nli}, ServeConfig(max_batch=2, max_wait_seconds=0.5),
-            clock=clock)
-        engine.submit("nli", _example(serve_tables))
-        assert engine.poll() == []                  # under deadline, under size
-        clock.advance(0.5)
-        responses = engine.poll()                   # deadline flush
-        assert len(responses) == 1
-        assert responses[0].latency_seconds == pytest.approx(0.5)
-        assert engine.queue_depth == 0
-
-    def test_size_flush_before_deadline(self, nli, serve_tables):
-        clock = FakeClock()
-        engine = InferenceEngine(
-            {"nli": nli}, ServeConfig(max_batch=2, max_wait_seconds=100.0),
-            clock=clock)
-        engine.submit("nli", _example(serve_tables, 0))
-        engine.submit("nli", _example(serve_tables, 1))
-        responses = engine.poll()
-        assert [r.batch_size for r in responses] == [2, 2]
+            engine.process([("nli", object()), ("qa", object())])
+        assert engine.cache.misses == 0     # rejected before any work
 
     def test_process_preserves_submission_order(self, nli, serve_tables):
-        engine = InferenceEngine({"nli": nli}, ServeConfig(max_batch=4))
+        engine = InferenceEngine({"nli": nli})
         submissions = [("nli", _example(serve_tables, i % 3))
                        for i in range(6)]
         responses = engine.process(submissions)
@@ -77,7 +44,7 @@ class TestDispatch:
         assert all(r.task == "nli" for r in responses)
 
     def test_repeated_tables_hit_cache(self, nli, serve_tables):
-        engine = InferenceEngine({"nli": nli}, ServeConfig(max_batch=4))
+        engine = InferenceEngine({"nli": nli}, ServeConfig(cache_entries=4))
         example = _example(serve_tables)
         first = engine.process([("nli", example)])
         second = engine.process([("nli", example)])
@@ -92,17 +59,17 @@ class TestTelemetry:
         registry = MetricsRegistry()
         sink = registry.add_sink(InMemorySink())
         with using_registry(registry):
-            engine = InferenceEngine({"nli": nli}, ServeConfig(max_batch=2))
+            engine = InferenceEngine({"nli": nli})
             engine.process([("nli", _example(serve_tables, i))
                             for i in range(3)])
         snapshot = {s["name"]: s for s in registry.snapshot()
                     if s.get("metric")}
         assert snapshot["serve.requests"]["value"] == 3
-        assert snapshot["serve.batches"]["value"] == 2
-        assert snapshot["serve.batch_size"]["count"] == 2
-        assert snapshot["serve.batch_size"]["max"] == 2
-        assert snapshot["serve.queue_depth"]["count"] == 3
         assert snapshot["serve.latency_seconds"]["count"] == 3
+        # No queue, no batches: the engine keeps no histograms at all.
+        assert not any(name.startswith("serve.") and
+                       entry["metric"] == "histogram"
+                       for name, entry in snapshot.items())
         traces = sink.of_kind("serve_request")
         assert len(traces) == 3
         assert {t["id"] for t in traces} == {0, 1, 2}

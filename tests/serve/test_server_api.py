@@ -1,4 +1,4 @@
-"""The /v1 HTTP surface: envelopes, deprecation headers, run_server."""
+"""The /v1 HTTP surface: envelopes, unversioned 404s, run_server."""
 
 import json
 import threading
@@ -15,9 +15,7 @@ from repro.serve import (
     ServeConfig,
     ServerConfig,
     make_http_server,
-    make_server,
     run_server,
-    serve_forever,
 )
 from repro.tasks import NliClassifier
 
@@ -66,20 +64,18 @@ def client(engine):
 
 class TestV1Surface:
     def test_healthz(self, client):
-        status, headers, health = client.call("/v1/healthz")
+        status, _, health = client.call("/v1/healthz")
         assert status == 200
-        assert "Deprecation" not in headers
         assert health["status"] == "ok"
         assert health["tasks"] == ["nli"]
         assert health["replicas"] == 0
 
     def test_predict_single(self, client, serve_tables):
-        status, headers, body = client.call(
+        status, _, body = client.call(
             "/v1/predict", {"task": "nli",
                             "table": _inline_table(serve_tables[0]),
                             "statement": "hello"})
         assert status == 200
-        assert "Deprecation" not in headers
         assert body["label"] in (0, 1)
         assert body["task"] == "nli"
         assert "latency_seconds" in body and "replica" in body
@@ -175,25 +171,16 @@ class TestErrorEnvelope:
 
 class TestLegacyPaths:
     @pytest.mark.parametrize("path,payload", [
+        ("/predict", {"task": "nli"}),
         ("/healthz", None),
         ("/metrics", None),
     ])
-    def test_legacy_gets_answer_with_deprecation_header(self, client, path,
-                                                        payload):
-        status, headers, _ = client.call(path, payload)
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert "successor-version" in headers.get("Link", "")
-
-    def test_legacy_predict_deprecated_but_working(self, client,
-                                                   serve_tables):
-        status, headers, body = client.call(
-            "/predict", {"task": "nli",
-                         "table": _inline_table(serve_tables[0]),
-                         "statement": "hello"})
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert body["label"] in (0, 1)
+    def test_unversioned_paths_are_not_found(self, client, path, payload):
+        status, headers, body = client.call(path, payload)
+        assert status == 404
+        assert body["error"]["code"] == "not_found"
+        assert body["error"]["retryable"] is False
+        assert "Deprecation" not in headers
 
 
 class TestVerboseLogging:
@@ -252,19 +239,6 @@ class TestRunServerAndShims:
             ServerConfig(replicas=-1)
         with pytest.raises(ValueError):
             ServerConfig(max_queue=0)
-
-    def test_make_server_shim_warns_and_works(self, engine):
-        with pytest.warns(DeprecationWarning, match="make_server"):
-            server = make_server(engine, "127.0.0.1", 0)
-        try:
-            status, _, health = _Client(server).call("/healthz")
-            assert status == 200 and health["status"] == "ok"
-        finally:
-            server.server_close()
-
-    def test_serve_forever_shim_warns(self, engine):
-        with pytest.warns(DeprecationWarning, match="serve_forever"):
-            serve_forever(engine, "127.0.0.1", 0, max_requests=0)
 
     def test_server_close_shuts_frontend(self, engine):
         server = make_http_server(engine, ServerConfig(port=0))

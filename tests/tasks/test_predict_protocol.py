@@ -82,17 +82,6 @@ class TestProtocolConformance:
         assert [p.label for p in one_by_one] == [p.label for p in all_at_once]
 
     @pytest.mark.parametrize("task", ALL_TASKS)
-    def test_deprecated_alias_warns_and_matches(self, task, bert, tapas,
-                                                wiki_tables, rng):
-        predictor, examples = _predictor_and_examples(
-            task, bert, tapas, wiki_tables, rng)
-        if task == "retrieval":
-            pytest.skip("retrieval kept rank()/index(), no legacy predict")
-        with pytest.deprecated_call():
-            labels = predictor.predict_labels(examples)
-        assert labels == [p.label for p in predictor.predict(examples)]
-
-    @pytest.mark.parametrize("task", ALL_TASKS)
     def test_evaluate_still_works(self, task, bert, tapas, wiki_tables, rng):
         predictor, examples = _predictor_and_examples(
             task, bert, tapas, wiki_tables, rng)
