@@ -156,8 +156,9 @@ class AdmissionQueue:  # thread-shared
     tickets only — in-flight waves have already left the queue.
 
     ``close`` wakes every waiter and makes both future waits return
-    immediately and future admissions shed — a ticket admitted after
-    shutdown's final drain would otherwise hang its client forever.
+    immediately and future admissions fail (the front-end answers them
+    as ``shutdown``) — a ticket admitted after shutdown's final drain
+    would otherwise hang its client forever.
     """
 
     def __init__(self, max_queue: int) -> None:
@@ -200,7 +201,7 @@ class AdmissionQueue:  # thread-shared
         client batch is never split by a racing wave pop.  Tickets past
         the admission bound get ``False`` (the caller sheds them);
         admission is first-come within the batch, like the queue itself.
-        A closed queue sheds everything.
+        A closed queue rejects everything.
         """
         with self._lock:
             verdicts = []
@@ -390,6 +391,8 @@ class ReplicatedFrontend:  # thread-shared
         dispatches as one wave (up to ``max_batch``).  Tickets the
         bound rejects resolve immediately as retryable ``overloaded``
         sheds; the rest proceed — one shed never fails its batch-mates.
+        After :meth:`close`, every ticket resolves immediately as
+        retryable ``shutdown``.
         """
         for task, _ in submissions:
             if task not in self.engine.predictors:
@@ -410,6 +413,10 @@ class ReplicatedFrontend:  # thread-shared
         verdicts = self.queue.admit_many(tickets)
         for ticket, admitted in zip(tickets, verdicts):
             if admitted:
+                continue
+            if self._stopping.is_set():
+                # close() sets the flag before it closes the queue.
+                ticket.fail("shutdown", "server shutting down", True)
                 continue
             registry.counter(f"{_METRICS_PREFIX}.shed").inc()
             registry.emit({"kind": "frontend", "action": "shed",

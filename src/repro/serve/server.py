@@ -14,6 +14,15 @@ builds and runs the server.  The wire surface is versioned:
 Any other path, unversioned ones included, answers 404 with the
 ``not_found`` envelope.
 
+Every reply leaves in one write on a ``TCP_NODELAY`` socket.  A reply
+written as headers and then body holds the body back under Nagle's
+algorithm until the client ACKs the headers, and a keep-alive client
+delays that ACK by about 40 ms.  A POST body is read only when it
+arrives with a plain ``Content-Length`` of at most ``_MAX_BODY_BYTES``;
+any other framing answers 400 (413 past the cap) and closes the
+connection, because the body it leaves unread would be parsed as the
+next request.
+
 Every error is a structured envelope —
 ``{"error": {"code", "message", "retryable"}}`` — never an ad-hoc
 string: ``retryable`` tells clients whether backing off and retrying
@@ -56,12 +65,16 @@ __all__ = ["ServerConfig", "run_server", "make_http_server"]
 _ERROR_STATUS = {
     "bad_request": 400,
     "not_found": 404,
+    "payload_too_large": 413,
     "internal": 500,
     "overloaded": 503,
     "shutdown": 503,
     "deadline_exceeded": 504,
     "timeout": 504,
 }
+
+#: Largest POST body the server reads; a longer one answers 413 unread.
+_MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -146,6 +159,9 @@ def make_http_server(engine: InferenceEngine,
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY, so the stdlib's own split writes (send_error,
+        # the interim 100 Continue) cannot wait on a delayed ACK either.
+        disable_nagle_algorithm = True
 
         def log_message(self, format: str, *args: Any) -> None:
             # Request lines used to vanish here; now they flow through
@@ -158,17 +174,52 @@ def make_http_server(engine: InferenceEngine,
                                  "line": format % args})
 
         # -- plumbing ---------------------------------------------------
-        def _reply(self, status: int, payload: Any) -> None:
+        def _reply(self, status: int, payload: Any,
+                   close: bool = False) -> None:
+            """Send ``payload`` as JSON in one write; ``close`` ends the
+            connection after it."""
             body = json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            if close:
+                self.send_header("Connection", "close")
+            # send_response and send_header only buffer their lines, and
+            # end_headers would send them alone; take them from the
+            # buffer instead (an HTTP/0.9 reply has none, only a body).
+            head = b"".join(getattr(self, "_headers_buffer", []))
+            self._headers_buffer = []
+            try:
+                self.wfile.write(head + b"\r\n" + body if head else body)
+            except (BrokenPipeError, ConnectionResetError) as error:
+                self.close_connection = True
+                self.log_error("client left before its %d reply (%s)",
+                               status, type(error).__name__)
 
-        def _not_found(self) -> None:
+        def _not_found(self, close: bool = False) -> None:
             self._reply(404, _error_body(
-                "not_found", f"unknown path {self.path}", False))
+                "not_found", f"unknown path {self.path}", False), close)
+
+        def _read_body(self) -> bytes | None:
+            """The POST body, or ``None`` once a framing error is answered."""
+            declared = self.headers.get("Content-Length", "0").strip()
+            if "Transfer-Encoding" in self.headers:
+                code, message = ("bad_request",
+                                 "Transfer-Encoding is not supported")
+            # 21 digits exceed 2**64, and int() refuses 4300.
+            elif (not (declared.isascii() and declared.isdigit())
+                    or len(declared) > 20):
+                code, message = ("bad_request",
+                                 f"invalid Content-Length {declared!r}")
+            elif int(declared) > _MAX_BODY_BYTES:
+                code, message = ("payload_too_large",
+                                 f"body of {declared} bytes exceeds the "
+                                 f"{_MAX_BODY_BYTES}-byte limit")
+            else:
+                return self.rfile.read(int(declared))
+            self._reply(_ERROR_STATUS[code],
+                        _error_body(code, message, False), close=True)
+            return None
 
         # -- GET --------------------------------------------------------
         def do_GET(self) -> None:
@@ -182,17 +233,18 @@ def make_http_server(engine: InferenceEngine,
         # -- POST -------------------------------------------------------
         def do_POST(self) -> None:
             if self.path != "/v1/predict":
-                self._not_found()
+                self._not_found(close=True)   # its body stays unread
                 return
-            length = int(self.headers.get("Content-Length", 0))
+            raw = self._read_body()
+            if raw is None:
+                return
             try:
-                body = json.loads(self.rfile.read(length) or b"null")
+                body = json.loads(raw or b"null")
                 single, submissions = _decode_body(body)
             except (json.JSONDecodeError, RequestError) as error:
                 self._reply(400, _error_body("bad_request", str(error),
                                              False))
                 return
-            frontend.start()
             try:
                 tickets = frontend.submit_many(submissions)
             except KeyError as error:
