@@ -26,10 +26,15 @@ reassociating arithmetic.
 ``DEFAULT_DTYPE`` is the single source of truth for the library's
 accumulation dtype; the tape sanitizer's dtype-creep check and the loss
 functions both read it from here.
+
+Importing this module also tells glibc's allocator to keep freed memory
+in the heap (:func:`_retain_freed_memory`), so a training step does not
+page its tape back in after every backward pass.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -51,6 +56,39 @@ __all__ = [
 # construction; the tape sanitizer flags anything that silently narrows.
 DEFAULT_DTYPE = np.float64
 
+# glibc ``mallopt`` parameters (<malloc.h>).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _retain_freed_memory() -> None:
+    """Keep freed array memory in the heap instead of returning it.
+
+    A training step allocates its whole tape of activations and gradient
+    buffers and frees it after the backward pass.  By default glibc trims
+    the top of the heap back to the kernel at that point, so the next step
+    faults every page in again: thousands of minor faults per step.
+    Setting the trim threshold to -1 never trims.  It must be set together
+    with the mmap threshold: setting either one turns off glibc's dynamic
+    mmap threshold, and left at its 128 KiB default every larger array
+    would be mmapped, and faulted in, afresh on each allocation.  32 MiB is
+    the ceiling glibc's dynamic rule reaches on 64-bit.  The settings are
+    process-wide and forked workers inherit them; where ``mallopt`` does
+    not exist this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, -1)
+
+
+_retain_freed_memory()
+
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` after a broadcast forward op.
@@ -70,13 +108,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _canon(x: np.ndarray) -> np.ndarray:
-    """Replicate ``zeros + x`` — the tape's per-node gradient-buffer write.
+    """Replicate ``0.0 + x`` — the tape's per-node gradient-buffer write.
 
     Fused kernels collapse chains of tape nodes; at every interior node
-    boundary the eager tape materialized ``grad = zeros_like(...) += x``,
-    which canonicalizes ``-0.0`` to ``+0.0``.  Adding ``0.0`` performs the
-    identical float op, keeping fused backward passes bitwise equal to
-    their unfused counterparts.
+    boundary the eager tape writes the first contribution into a fresh
+    buffer as ``0.0 + x`` (``Tensor._accumulate``), which canonicalizes
+    ``-0.0`` to ``+0.0``.  Adding ``0.0`` here performs the identical float
+    op, keeping fused backward passes bitwise equal to their unfused
+    counterparts.
     """
     return x + 0.0
 
@@ -276,11 +315,33 @@ def _bw_relu(b, grad, ctx, needs):
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(b, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``0.5 * x * (1 + t)`` and ``t = tanh(C * (x + 0.044715 * x**3))``.
+
+    The one GELU forward both ``gelu`` and the fused ``bias_gelu`` run.
+    The cube is ``(x * x) * x``: NumPy has no fast path for a scalar power
+    of 3, so ``x**3`` would call libm ``pow`` once per element, which costs
+    several times the rest of the kernel.  The polynomial then reuses its
+    temporary in place, keeping the float order ``*0.044715``, ``+x``,
+    ``*C``.
+    """
+    # An explicit ``out`` keeps ``inner`` an array even for 0-d ``x``,
+    # so the in-place steps below always have a buffer to write.
+    inner = np.multiply(x, x, out=np.empty_like(x))
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_C
+    t = b.tanh(inner, out=inner)
+    out_data = 0.5 * x
+    out_data *= 1.0 + t
+    return out_data, t
+
+
 def _fw_gelu(b, datas, params, out=None):
     (x,) = datas
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = b.tanh(inner)
-    return 0.5 * x * (1.0 + t), (x, t)
+    out_data, t = _gelu_tanh(b, x)
+    return out_data, (x, t)
 
 
 def _bw_gelu(b, grad, ctx, needs):
@@ -518,9 +579,7 @@ def _fw_bias_gelu(b, datas, params, out=None):
     """``gelu(x + bias)`` — the feed-forward expand activation."""
     x, y = datas
     t_in = b.add(x, y)
-    inner = _GELU_C * (t_in + 0.044715 * t_in**3)
-    t = b.tanh(inner)
-    out_data = 0.5 * t_in * (1.0 + t)
+    out_data, t = _gelu_tanh(b, t_in)
     return out_data, (x.shape, y.shape, t_in, t)
 
 

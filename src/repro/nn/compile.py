@@ -615,19 +615,18 @@ class TapeExecutor:
 
     # -- backward ------------------------------------------------------
     def _acquire(self, shape: tuple[int, ...]) -> np.ndarray:
-        pool = self._grad_pool.setdefault(shape, [])
+        pool = self._grad_pool.get(shape)
         if pool:
-            buffer = pool.pop()
-            buffer.fill(0.0)
-            return buffer
-        return np.zeros(shape, dtype=DEFAULT_DTYPE)
+            return pool.pop()
+        return np.empty(shape, dtype=DEFAULT_DTYPE)
 
     def backward(self) -> None:
         """Run the recorded DFS sweep; leaves gradients on ``param.grad``.
 
-        Accumulation replicates ``Tensor._accumulate`` — a zeroed float64
-        buffer receiving ``+=`` contributions in eager order — so the
-        resulting gradients are bitwise those of the eager step.
+        Accumulation replicates ``Tensor._accumulate`` — a float64 buffer
+        whose first write is ``0.0 + contribution`` and which then receives
+        ``+=`` contributions in eager order — so the resulting gradients
+        are bitwise those of the eager step.
         """
         program = self.program
         if program.loss is None:
@@ -636,7 +635,7 @@ class TapeExecutor:
         grads: dict[int, np.ndarray] = {}
         root = program.outputs[program.loss]
         seed = self._acquire(slots[root].shape)
-        seed += np.ones(slots[root].shape, dtype=DEFAULT_DTYPE)
+        seed.fill(1.0)
         grads[root] = seed
 
         def accumulate(sid: int, contribution: np.ndarray) -> None:
@@ -645,15 +644,14 @@ class TapeExecutor:
                 if slots[sid].kind == "param":
                     buffer = self._param_buffers.get(sid)
                     if buffer is None:
-                        buffer = np.zeros(slots[sid].shape,
+                        buffer = np.empty(slots[sid].shape,
                                           dtype=DEFAULT_DTYPE)
                         self._param_buffers[sid] = buffer
-                    else:
-                        buffer.fill(0.0)
                 else:
                     buffer = self._acquire(slots[sid].shape)
-                grads[sid] = buffer
-            np.add(buffer, contribution, out=buffer)
+                grads[sid] = np.add(contribution, 0.0, out=buffer)
+            else:
+                np.add(buffer, contribution, out=buffer)
 
         backend = self.backend
         for k in program.backward_order:

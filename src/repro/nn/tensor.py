@@ -288,9 +288,14 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # The first write is ``0.0 + grad`` into an unfilled buffer: the
+        # float op of a zero fill and ``+=``, in one pass.  It turns -0.0
+        # into +0.0, which the fused kernels' ``_canon`` mirrors.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data, dtype=DEFAULT_DTYPE)
-        self.grad += grad
+            self.grad = np.add(grad, 0.0, out=np.empty_like(
+                self.data, dtype=DEFAULT_DTYPE))
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.

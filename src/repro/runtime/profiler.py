@@ -131,7 +131,7 @@ _TIMED_METHODS: dict[str, str] = {
     "reshape": "reshape", "transpose": "transpose",
     "__getitem__": "getitem", "take_rows": "take_rows",
     "softmax": "softmax", "log_softmax": "log_softmax",
-    "masked_fill": "masked_fill",
+    "masked_fill": "masked_fill", "cross_entropy": "cross_entropy",
 }
 _TIMED_STATIC_METHODS: dict[str, str] = {
     "concatenate": "concatenate", "stack": "stack",

@@ -11,6 +11,7 @@ training runs — across every golden-fixture model family.
 import numpy as np
 import pytest
 
+from repro.nn import Parameter, TapeExecutor, record_program
 from repro.parallel import FixedClock
 from repro.pretrain import Pretrainer, PretrainConfig
 
@@ -158,3 +159,28 @@ class TestCompiledTraining:
         resumed.train(wiki_tables)
         assert resumed.save_checkpoint(
             tmp_path / "resumed").read_bytes() == expected
+
+
+class TestGradientBufferFirstWrite:
+    def test_negative_zero_contribution_lands_as_positive_zero(self):
+        # relu sends ``-1.0 * False = -0.0`` back to its negative inputs,
+        # so every first contribution to ``weight``'s gradient buffer
+        # holds -0.0.  Eager writes ``0.0 + g`` (+0.0); replay's first
+        # write into its pooled and parameter buffers must do the same.
+        weight = Parameter(np.array([[-1.0, 2.0], [3.0, -4.0]]))
+
+        def step():
+            return {"loss": -(weight.relu().sum())}
+
+        program, outputs = record_program(step, {}, loss="loss")
+        outputs["loss"].backward()
+        eager = weight.grad.copy()
+        assert eager.tobytes() == np.array([[0.0, -1.0],
+                                            [-1.0, 0.0]]).tobytes()
+
+        executor = TapeExecutor(program)
+        for _ in range(2):  # fresh buffers, then reused ones
+            weight.grad = None
+            executor.run({})
+            executor.backward()
+            assert same_bytes(weight.grad, eager)

@@ -1,9 +1,11 @@
 """Gradient checks and behaviour tests for the autograd Tensor."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, no_grad, is_grad_enabled
+from repro.nn import Tensor, get_backend, no_grad, is_grad_enabled
 
 from tests.gradcheck import check_gradient
 
@@ -12,6 +14,25 @@ RNG = np.random.default_rng(0)
 
 def random(*shape):
     return RNG.normal(size=shape)
+
+
+# GELU inputs: the range an activation can reach, signed zeros, the
+# smallest subnormal and other values whose cube underflows.
+_TINY = np.finfo(np.float64).smallest_subnormal
+GELU_GRID = np.concatenate([np.linspace(-30.0, 30.0, 20_001),
+                            [0.0, -0.0, _TINY, -_TINY, 1e-310, -1e-310,
+                             1e-110, -1e-110]])
+
+
+def gelu_reference(x):
+    """BERT's tanh GELU written with ``x**3``."""
+    c = math.sqrt(2.0 / math.pi)
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+def same_bytes(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
 
 
 class TestArithmetic:
@@ -87,6 +108,42 @@ class TestNonlinearities:
 
     def test_gelu_gradient(self):
         check_gradient(lambda x: x.gelu(), random(3, 3))
+
+    def test_gelu_forwards_match_the_pow_formula(self):
+        # The kernels cube by multiplication, which may round the cube
+        # differently from ``pow`` in its last bit.  GELU is x * Phi(x):
+        # in the negative tail ``1 + tanh`` cancels, so the error is
+        # bounded in ulps of x, not of the tiny output.
+        backend = get_backend()
+        expected = gelu_reference(GELU_GRID)
+        tolerance = 4 * np.spacing(np.abs(GELU_GRID))
+        eager = Tensor(GELU_GRID).gelu().data
+        fused, _ = backend.op("bias_gelu").forward(
+            backend, (GELU_GRID, np.zeros(1)), {})
+        for got in (eager, fused):
+            assert got.dtype == np.float64
+            assert np.all(np.abs(got - expected) <= tolerance)
+
+    def test_bias_gelu_is_bytewise_the_eager_chain(self):
+        # ``bias_gelu`` replaces ``(x + bias).gelu()`` in compiled replay,
+        # so its forward and both gradients must equal the eager chain's
+        # bytes.  ``+ 0.0`` is the first write of each tape buffer.
+        rng = np.random.default_rng(3)
+        x = np.concatenate([GELU_GRID, rng.normal(size=3)]).reshape(-1, 4)
+        bias = rng.normal(size=4)
+        seed = rng.normal(size=x.shape)
+        xt = Tensor(x, requires_grad=True)
+        bt = Tensor(bias, requires_grad=True)
+        out = (xt + bt).gelu()
+        out.backward(seed)
+
+        backend = get_backend()
+        fused = backend.op("bias_gelu")
+        fused_out, ctx = fused.forward(backend, (x, bias), {})
+        grad_x, grad_bias = fused.vjp(backend, seed + 0.0, ctx, (True, True))
+        assert same_bytes(out.data, fused_out)
+        assert same_bytes(xt.grad, grad_x + 0.0)
+        assert same_bytes(bt.grad, grad_bias + 0.0)
 
     def test_sigmoid_gradient(self):
         check_gradient(lambda x: x.sigmoid(), random(3, 3))
@@ -281,6 +338,33 @@ class TestBackwardMechanics:
         (x * 2).sum().backward()
         (x * 3).sum().backward()
         np.testing.assert_allclose(x.grad, [5.0, 5.0])
+
+
+class TestFirstGradientWrite:
+    """A gradient buffer's first write is bytewise ``zeros + g``."""
+
+    CASES = {
+        # -0.0 lands as +0.0, which the fused kernels' ``_canon`` mirrors.
+        "negative_zero": lambda rng: (rng.normal(size=3),
+                                      np.array([-0.0, 1.5, -0.0])),
+        "broadcast_row": lambda rng: (rng.normal(size=(4, 3)),
+                                      rng.normal(size=(1, 3))),
+        "float32": lambda rng: (rng.normal(size=(2, 3)),
+                                rng.normal(size=(2, 3)).astype(np.float32)),
+        "transposed_view": lambda rng: (rng.normal(size=(3, 4)).T,
+                                        rng.normal(size=(4, 3))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_zeros_plus_contribution(self, case):
+        data, contribution = self.CASES[case](np.random.default_rng(0))
+        expected = np.zeros_like(data, dtype=np.float64)
+        expected += contribution
+
+        tensor = Tensor(data, requires_grad=True)
+        tensor._accumulate(contribution)
+        assert same_bytes(tensor.grad, expected)
+        assert tensor.grad.strides == expected.strides
 
 
 class TestConstruction:

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.nn import Encoder, Tensor, get_tape_hook
+from repro.nn import Encoder, Tensor, cross_entropy, get_tape_hook
 from repro.runtime import InMemorySink, MetricsRegistry, profile
 
 
@@ -66,6 +66,16 @@ class TestProfileCollection:
             encoder(x)
         assert prof.stats["softmax"].calls >= 1
         assert prof.stats["matmul"].calls >= 4  # qkv projections + scores
+
+    def test_cross_entropy_forward_timed(self):
+        # The fused loss kernel is pretraining's heaviest forward op.
+        rng = np.random.default_rng(0)
+        logits = Tensor(rng.normal(size=(16, 32)), requires_grad=True)
+        with profile(emit=False) as prof:
+            cross_entropy(logits, rng.integers(0, 32, size=16))
+        stat = prof.stats["cross_entropy"]
+        assert stat.calls == 1
+        assert stat.forward_seconds > 0
 
 
 class TestProfileHygiene:
