@@ -15,10 +15,10 @@ Rules — each guards a convention the rest of the codebase relies on:
   must carry full parameter and return annotations — these are the
   packages other tooling introspects.
 - **REPRO006** op math must go through the backend: inside ``nn/`` only
-  the backend seam itself (``backend.py``, ``compile.py``, ``tensor.py``,
-  ``optim.py``) may do raw ``.data`` arithmetic — elsewhere it bypasses
-  the :mod:`repro.nn.backend` op registry, so compiled replay and any
-  future non-numpy backend would silently disagree with eager mode.
+  the backend seam itself (``backend.py``, ``tensor.py``, ``optim.py``)
+  may do raw ``.data`` arithmetic — elsewhere it bypasses the
+  :mod:`repro.nn.backend` op registry, so a future non-numpy backend
+  would silently disagree with the numpy one.
 - **REPRO007** no silent exception swallowing: bare ``except:`` is
   always flagged, and ``except X: pass`` (a handler whose body is only
   ``pass``/``...``) is flagged unless *every* caught exception is on
@@ -73,7 +73,7 @@ _SILENCEABLE_EXCEPTIONS = frozenset({
 #: nn/ modules that *are* the backend seam — the only places raw
 #: ``.data`` arithmetic is the implementation rather than a bypass.
 _BACKEND_SEAM_FILES = frozenset({
-    "backend.py", "compile.py", "tensor.py", "optim.py",
+    "backend.py", "tensor.py", "optim.py",
 })
 
 #: ``np.random.<name>`` calls that are construction, not global state.

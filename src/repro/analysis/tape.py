@@ -213,7 +213,7 @@ def sanitize_tape(
             consumers[id(parent)] = consumers.get(id(parent), 0) + 1
 
     # The creep check is defined against the backend's accumulation
-    # dtype, not a hard-coded float64, so it and the compiled executor
+    # dtype, not a hard-coded float64, so it and the loss functions
     # agree on one source of truth (``backend.default_dtype``).
     wide = np.dtype(get_backend().default_dtype)
     for node in reachable.values():

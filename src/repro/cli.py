@@ -130,11 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="use a deterministic step clock so wall-time "
                                "fields (and checkpoint bytes) are "
                                "reproducible across runs and machines")
-    pretrain.add_argument("--compile", action="store_true",
-                          help="record each step signature once and replay "
-                               "it through the compiled tape executor; "
-                               "bit-identical to the default serial path "
-                               "(incompatible with --workers > 1)")
     pretrain.add_argument("--stream", action="store_true",
                           help="treat CORPUS as a generator kind (wiki, git, "
                                "infobox) and stream deterministically seeded "
@@ -191,9 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write responses to this JSONL file "
                               "(default: stdout)")
     predict.add_argument("--cache-entries", type=int, default=128)
-    predict.add_argument("--compile", action="store_true",
-                         help="serve through compiled tape-replay encoders "
-                              "(bit-identical outputs)")
     predict.add_argument("--seed", type=int, default=0)
 
     serve = sub.add_parser(
@@ -224,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--verbose", action="store_true",
                        help="emit HTTP request lines through the runtime "
                             "event stream (visible via --metrics-out)")
-    serve.add_argument("--compile", action="store_true",
-                       help="serve through compiled tape-replay encoders "
-                            "(bit-identical outputs)")
     serve.add_argument("--sanitize-threads", action="store_true",
                        help="wrap every lock the serving stack creates in "
                             "the runtime lock sanitizer; report lock-order "
@@ -469,35 +458,25 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
     checkpoint_every = args.checkpoint_every
     if args.checkpoint_dir and not checkpoint_every:
         checkpoint_every = 10
-    if args.compile and args.workers != 1:
-        _fail("--compile trains the fused single-process step and is "
-              "incompatible with --workers > 1")
-    if args.inject_faults and args.compile:
-        _fail("--inject-faults stages failures in worker processes and "
-              "needs --workers > 1, not --compile")
     try:
-        # Without --compile the CLI always trains through the
-        # data-parallel engine so the checkpoint bytes of `--workers 1`
-        # and `--workers N` match; the numeric signature stored in
-        # checkpoints only records the shard decomposition, never the
-        # worker count.  --compile replays the fused serial step instead
-        # (bit-identical to the serial eager path).
+        # The CLI always trains through the data-parallel engine so the
+        # checkpoint bytes of `--workers 1` and `--workers N` match; the
+        # numeric signature stored in checkpoints only records the shard
+        # decomposition, never the worker count.
         faults = (parse_fault_plan(args.inject_faults)
                   if args.inject_faults else None)
         supervisor = {}
         if args.step_deadline is not None:
             supervisor["step_deadline"] = args.step_deadline
-        parallel = (None if args.compile else
-                    ParallelConfig(workers=args.workers,
-                                   shard_size=args.shard_size,
-                                   faults=faults, **supervisor))
+        parallel = ParallelConfig(workers=args.workers,
+                                  shard_size=args.shard_size,
+                                  faults=faults, **supervisor)
         pretrain_config = PretrainConfig(
             steps=args.steps, batch_size=args.batch_size,
             learning_rate=args.learning_rate, seed=args.seed,
             checkpoint_every=checkpoint_every,
             keep_checkpoints=args.keep_checkpoints,
-            parallel=parallel, compile=args.compile,
-            stream_window=args.stream_window)
+            parallel=parallel, stream_window=args.stream_window)
     except ValueError as error:
         _fail(str(error))
     clock = FixedClock() if args.fixed_clock else time.perf_counter
@@ -580,8 +559,7 @@ def _build_engine(args: argparse.Namespace):
     model = _resolve_model(args.model, tables, args.seed)
     rng = np.random.default_rng(args.seed)
     try:
-        config = ServeConfig(cache_entries=args.cache_entries,
-                             compile=getattr(args, "compile", False))
+        config = ServeConfig(cache_entries=args.cache_entries)
         predictors = {task: build_predictor(task, model, tables, rng)
                       for task in SERVED_TASKS}
     except (RequestError, ValueError) as error:

@@ -18,9 +18,6 @@ from typing import Callable
 from .config import EncoderConfig
 from .structure import dense_mask
 from ..nn import Dropout, Embedding, Encoder, LayerNorm, Module, Tensor
-from ..nn.compile import ProgramCache, TapeExecutor, binding_signature, \
-    record_program
-from ..nn.tensor import is_inference_mode
 from ..serialize import (
     BatchedFeatures,
     RowMajorSerializer,
@@ -33,7 +30,7 @@ from ..serialize import (
 from ..tables import Table
 from ..text import WordPieceTokenizer
 
-__all__ = ["TableEncoding", "TableEncoder", "forward_bindings"]
+__all__ = ["TableEncoding", "TableEncoder"]
 
 
 @dataclass
@@ -65,63 +62,6 @@ def _mean_span(hidden: np.ndarray, start: int, end: int) -> np.ndarray | None:
     return hidden[start:end].mean(axis=0)
 
 
-def forward_bindings(batch: BatchedFeatures,
-                     arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Name every batch-dependent array a compiled forward consumes.
-
-    The feature channels come straight off :class:`BatchedFeatures`; the
-    model-specific structure arrays (masks, biases, entity slots — see
-    :meth:`TableEncoder.structure_arrays`) are namespaced ``arrays.*``.
-    Recording a step against these bindings guarantees nothing
-    batch-dependent is baked into the program as a constant.
-    """
-    bindings = {
-        "token_ids": batch.token_ids,
-        "positions": batch.positions,
-        "row_ids": batch.row_ids,
-        "column_ids": batch.column_ids,
-        "roles": batch.roles,
-        "entity_ids": batch.entity_ids,
-        "numeric_features": batch.numeric_features,
-        "lengths": batch.lengths,
-    }
-    for name, value in arrays.items():
-        bindings[f"arrays.{name}"] = value
-    return bindings
-
-
-class _CompiledInference:
-    """Signature-keyed cache of compiled forward programs for one model.
-
-    The first batch of a given signature (padded shape + dtypes) runs the
-    ordinary eager forward under a recorder; later batches replay the
-    recorded program through a :class:`~repro.nn.compile.TapeExecutor`
-    without building any tape.  Parameters are fetched live at every
-    replay, so weight updates (``load_state_dict``, optimizer steps
-    between serving sessions) are always visible.
-    """
-
-    def __init__(self, model: "TableEncoder") -> None:
-        self.model = model
-        self.cache = ProgramCache()
-
-    def hidden(self, batch: BatchedFeatures,
-               arrays: dict[str, np.ndarray]) -> Tensor:
-        bindings = forward_bindings(batch, arrays)
-        signature = binding_signature(bindings)
-        executor = self.cache.get(signature)
-        if executor is None:
-            program, outputs = record_program(
-                lambda: {"hidden": self.model._forward_impl(batch, arrays)},
-                bindings)
-            self.cache.put(signature, TapeExecutor(program))
-            return outputs["hidden"]
-        # The executor reuses its output buffer across replays; copy so
-        # callers (and the serve EncodingCache) hold stable arrays, as
-        # they would after an eager forward.
-        return Tensor(executor.run(bindings)["hidden"].copy())
-
-
 class TableEncoder(Module):
     """Shared machinery for every model in the zoo.
 
@@ -138,10 +78,6 @@ class TableEncoder(Module):
     # Optional repro.serve.EncodingCache reused across inference calls;
     # attach with set_encoding_cache.
     encoding_cache = None
-
-    # Optional compiled-replay cache for no-grad forwards; attach with
-    # enable_compiled_inference.
-    _compiled_inference = None
 
     def __init__(self, config: EncoderConfig, tokenizer: WordPieceTokenizer,
                  rng: np.random.Generator,
@@ -218,10 +154,9 @@ class TableEncoder(Module):
         """Every batch-derived array the forward pass consumes.
 
         Subclasses override this (extending ``super()``'s dict) instead of
-        computing masks/biases inline in ``forward``, so the compiled
-        path can bind them per replay — a structure array computed inside
-        :meth:`_forward_impl` would be baked into the recorded program as
-        a stale constant.
+        computing masks/biases inline in ``forward``, so each model's
+        structure lives in one place and :meth:`_forward_impl` reads it
+        from ``arrays``.
         """
         return {"mask": self.attention_mask(batch)}
 
@@ -251,29 +186,11 @@ class TableEncoder(Module):
         """Hidden states of shape ``(batch, seq, dim)``.
 
         Template method: computes :meth:`structure_arrays` when not
-        supplied, then either replays a compiled program (no-grad
-        forwards with :meth:`enable_compiled_inference` on) or runs the
-        eager :meth:`_forward_impl`.
+        supplied, then runs :meth:`_forward_impl`.
         """
         if arrays is None:
             arrays = self.structure_arrays(batch)
-        if self._compiled_inference is not None and is_inference_mode():
-            return self._compiled_inference.hidden(batch, arrays)
         return self._forward_impl(batch, arrays)
-
-    def enable_compiled_inference(self, enabled: bool = True) -> None:
-        """Toggle compiled tape-replay for no-grad forward passes.
-
-        When enabled, every :meth:`forward` under
-        :class:`~repro.nn.inference_mode` (``infer_hidden``, ``encode``,
-        all task ``predict`` paths, the serve engine) records its op
-        graph once per batch signature and replays it afterwards without
-        building Tensors.  Numerics are bit-identical to eager mode.
-        Disabling drops the compiled-program cache.
-        """
-        object.__setattr__(
-            self, "_compiled_inference",
-            _CompiledInference(self) if enabled else None)
 
     # ------------------------------------------------------------------
     # Inference API (Fig. 2a)

@@ -48,9 +48,8 @@ class Turl(TableEncoder):
 
     def structure_arrays(self, batch: BatchedFeatures) -> dict[str, np.ndarray]:
         arrays = super().structure_arrays(batch)
-        # Clamp KB ids into the embedding range *here* rather than in
-        # embed: the clamped array is batch-dependent and must be bound
-        # per replay, not baked into a recorded program.
+        # Clamp KB ids into the embedding range *here*, with the other
+        # batch-derived arrays, rather than in embed.
         arrays["entity_slots"] = np.minimum(batch.entity_ids,
                                             self.config.num_entities)
         return arrays

@@ -4,18 +4,14 @@ This package replaces the paper's PyTorch/HuggingFace dependency with a
 self-contained, gradient-checked numpy implementation (see DESIGN.md,
 substitution table).
 
-This ``__init__`` is the canonical public surface.  Three layers are
+This ``__init__`` is the canonical public surface.  Two layers are
 re-exported here and stable:
 
 - the eager API (:class:`Tensor`, :class:`Module`, layers, optimizers);
 - the backend protocol (:class:`Backend`, :class:`NumpyBackend`,
   :func:`get_backend` / :func:`set_backend`, ``DEFAULT_DTYPE``) — every
-  op's forward/vjp pair lives in the backend registry, and both eager
-  tensors and the compiled executor dispatch through it;
-- the compile entry points (:func:`record_program`,
-  :class:`TapeExecutor`, :class:`Program`, :class:`ProgramCache`,
-  :func:`binding_signature`, :func:`plan_buffers`) — record one eager
-  step, replay it without graph bookkeeping, bit-identically.
+  op's forward/vjp pair lives in the backend registry, and every tensor
+  op dispatches through it.
 
 Every op dispatches through ``Tensor._apply`` into the backend registry;
 raw ``.data`` arithmetic is an implementation detail of the backend seam
@@ -30,14 +26,6 @@ from .backend import (
     OpDef,
     get_backend,
     set_backend,
-)
-from .compile import (
-    Program,
-    ProgramCache,
-    TapeExecutor,
-    binding_signature,
-    plan_buffers,
-    record_program,
 )
 from .functional import (
     binary_cross_entropy_with_logits,
@@ -67,13 +55,11 @@ from .optim import (
 )
 from .tensor import (
     Tensor,
-    get_recorder,
     get_tape_hook,
     inference_mode,
     is_grad_enabled,
     is_inference_mode,
     no_grad,
-    set_recorder,
     set_tape_hook,
 )
 from .transformer import Decoder, DecoderLayer, Encoder, EncoderLayer, FeedForward
@@ -81,11 +67,8 @@ from .transformer import Decoder, DecoderLayer, Encoder, EncoderLayer, FeedForwa
 __all__ = [
     "Tensor", "no_grad", "inference_mode", "is_grad_enabled",
     "is_inference_mode", "set_tape_hook", "get_tape_hook",
-    "set_recorder", "get_recorder",
     "Backend", "NumpyBackend", "OpDef", "get_backend", "set_backend",
     "DEFAULT_DTYPE",
-    "record_program", "TapeExecutor", "Program", "ProgramCache",
-    "binding_signature", "plan_buffers",
     "Module", "ModuleList", "Parameter", "InitMetadata",
     "Linear", "Embedding", "LayerNorm", "Dropout",
     "MultiHeadAttention", "causal_mask", "padding_mask",

@@ -2,24 +2,20 @@
 
 This module is the seam between the autograd bookkeeping in
 :mod:`repro.nn.tensor` and the arithmetic that actually runs.  Every
-operation the library performs — eagerly through ``Tensor`` methods or
-replayed through :class:`repro.nn.compile.TapeExecutor` — is expressed as
-an :class:`OpDef`: a pure ``forward`` function producing the result array
-plus a context tuple, and a pure ``vjp`` function mapping an output
-gradient back onto the inputs.  Both directions receive the active
-:class:`Backend`, so swapping numpy for a BLAS-threaded or array-API
-implementation means registering a different op table — no caller
-changes.
+operation the library performs through ``Tensor`` methods is expressed
+as an :class:`OpDef`: a pure ``forward`` function producing the result
+array plus a context tuple, and a pure ``vjp`` function mapping an
+output gradient back onto the inputs.  Both directions receive the
+active :class:`Backend`, so swapping numpy for a BLAS-threaded or
+array-API implementation means registering a different op table — no
+caller changes.
 
 Bit-identity contract
 ---------------------
 The forward/vjp pairs here reproduce, float-op for float-op, the inline
-numpy the pre-backend ``Tensor`` closures executed.  The compiled
-executor replays exactly these functions, which is what makes compiled
-training byte-identical to eager training (see DESIGN.md, "Compiled
-execution & backend seam").  The fused kernels (``bias_gelu``,
-``masked_softmax``, ``layernorm``, ``cross_entropy``) run the same
-elementary float sequence as the op chains they replace; their speedup
+numpy the pre-backend ``Tensor`` closures executed (see DESIGN.md,
+"Backend seam").  The fused ``cross_entropy`` kernel runs the same
+elementary float sequence as the op chain it replaces; its speedup
 comes from eliminating per-op dispatch and node bookkeeping, never from
 reassociating arithmetic.
 
@@ -37,7 +33,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -110,12 +106,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _canon(x: np.ndarray) -> np.ndarray:
     """Replicate ``0.0 + x`` — the tape's per-node gradient-buffer write.
 
-    Fused kernels collapse chains of tape nodes; at every interior node
-    boundary the eager tape writes the first contribution into a fresh
-    buffer as ``0.0 + x`` (``Tensor._accumulate``), which canonicalizes
-    ``-0.0`` to ``+0.0``.  Adding ``0.0`` here performs the identical float
-    op, keeping fused backward passes bitwise equal to their unfused
-    counterparts.
+    A fused kernel collapses a chain of tape nodes; at every interior
+    node boundary the eager tape writes the first contribution into a
+    fresh buffer as ``0.0 + x`` (``Tensor._accumulate``), which
+    canonicalizes ``-0.0`` to ``+0.0``.  Adding ``0.0`` here performs the
+    identical float op, keeping a fused backward pass bitwise equal to
+    its unfused chain.
     """
     return x + 0.0
 
@@ -128,19 +124,11 @@ class OpDef:
     arrays (no Tensor objects) and returns the result plus whatever the
     backward pass needs.  ``vjp(backend, grad, ctx, needs) -> grads``
     returns one gradient per input (``None`` where ``needs`` is False).
-
-    ``accumulating`` marks fused kernels whose backward must interleave
-    several contributions into one input buffer in tape order; their vjp
-    signature is ``vjp(backend, grad, ctx, needs, accumulate)`` where
-    ``accumulate(input_index, contribution)`` mirrors
-    ``Tensor._accumulate``.
     """
 
     name: str
     forward: Callable[..., tuple[np.ndarray, tuple]]
     vjp: Callable[..., tuple] | None = None
-    accumulating: bool = False
-    supports_out: bool = False
 
 
 class Backend:
@@ -148,10 +136,10 @@ class Backend:
 
     The primitive methods (``matmul``, ``exp`` …) are the compute-heavy
     entry points an alternative backend overrides wholesale; the op table
-    (``op(name)``) carries the full forward/VJP definitions the eager
-    layer and the compiled executor both dispatch through.  Shape/view
-    glue (``reshape``, ``broadcast_to``) is numpy-array semantics by
-    definition and not part of the protocol.
+    (``op(name)``) carries the full forward/VJP definitions every
+    ``Tensor`` op dispatches through.  Shape/view glue (``reshape``,
+    ``broadcast_to``) is numpy-array semantics by definition and not part
+    of the protocol.
     """
 
     name = "abstract"
@@ -172,16 +160,16 @@ class Backend:
         return dict(self._ops)
 
     # -- primitives (the minimal swap surface) -------------------------
-    def matmul(self, a, b, out=None):
+    def matmul(self, a, b):
         raise NotImplementedError
 
-    def add(self, a, b, out=None):
+    def add(self, a, b):
         raise NotImplementedError
 
-    def multiply(self, a, b, out=None):
+    def multiply(self, a, b):
         raise NotImplementedError
 
-    def exp(self, a, out=None):
+    def exp(self, a):
         raise NotImplementedError
 
     def tanh(self, a, out=None):
@@ -198,17 +186,17 @@ class NumpyBackend(Backend):
         for opdef in _NUMPY_OPS.values():
             self.register(opdef)
 
-    def matmul(self, a, b, out=None):
-        return np.matmul(a, b, out=out) if out is not None else a @ b
+    def matmul(self, a, b):
+        return a @ b
 
-    def add(self, a, b, out=None):
-        return np.add(a, b, out=out)
+    def add(self, a, b):
+        return np.add(a, b)
 
-    def multiply(self, a, b, out=None):
-        return np.multiply(a, b, out=out)
+    def multiply(self, a, b):
+        return np.multiply(a, b)
 
-    def exp(self, a, out=None):
-        return np.exp(a, out=out)
+    def exp(self, a):
+        return np.exp(a)
 
     def tanh(self, a, out=None):
         return np.tanh(a, out=out)
@@ -219,9 +207,9 @@ class NumpyBackend(Backend):
 # the original Tensor closure exactly — do not "simplify" the arithmetic.
 # ----------------------------------------------------------------------
 
-def _fw_add(b, datas, params, out=None):
+def _fw_add(b, datas, params):
     x, y = datas
-    return b.add(x, y, out=out), (x.shape, y.shape)
+    return b.add(x, y), (x.shape, y.shape)
 
 
 def _bw_add(b, grad, ctx, needs):
@@ -230,17 +218,17 @@ def _bw_add(b, grad, ctx, needs):
             _unbroadcast(grad, ys) if needs[1] else None)
 
 
-def _fw_neg(b, datas, params, out=None):
-    return np.negative(datas[0], out=out), ()
+def _fw_neg(b, datas, params):
+    return np.negative(datas[0]), ()
 
 
 def _bw_neg(b, grad, ctx, needs):
     return (-grad,)
 
 
-def _fw_mul(b, datas, params, out=None):
+def _fw_mul(b, datas, params):
     x, y = datas
-    return b.multiply(x, y, out=out), (x, y)
+    return b.multiply(x, y), (x, y)
 
 
 def _bw_mul(b, grad, ctx, needs):
@@ -249,9 +237,9 @@ def _bw_mul(b, grad, ctx, needs):
             _unbroadcast(grad * x, y.shape) if needs[1] else None)
 
 
-def _fw_div(b, datas, params, out=None):
+def _fw_div(b, datas, params):
     x, y = datas
-    return np.divide(x, y, out=out), (x, y)
+    return np.divide(x, y), (x, y)
 
 
 def _bw_div(b, grad, ctx, needs):
@@ -260,10 +248,10 @@ def _bw_div(b, grad, ctx, needs):
             _unbroadcast(-grad * x / (y**2), y.shape) if needs[1] else None)
 
 
-def _fw_pow(b, datas, params, out=None):
+def _fw_pow(b, datas, params):
     (x,) = datas
     e = params["exponent"]
-    return np.power(x, e, out=out), (x, e)
+    return np.power(x, e), (x, e)
 
 
 def _bw_pow(b, grad, ctx, needs):
@@ -271,8 +259,8 @@ def _bw_pow(b, grad, ctx, needs):
     return (grad * e * x ** (e - 1),)
 
 
-def _fw_exp(b, datas, params, out=None):
-    out_data = b.exp(datas[0], out=out)
+def _fw_exp(b, datas, params):
+    out_data = b.exp(datas[0])
     return out_data, (out_data,)
 
 
@@ -281,9 +269,9 @@ def _bw_exp(b, grad, ctx, needs):
     return (grad * out_data,)
 
 
-def _fw_log(b, datas, params, out=None):
+def _fw_log(b, datas, params):
     (x,) = datas
-    return np.log(x, out=out), (x,)
+    return np.log(x), (x,)
 
 
 def _bw_log(b, grad, ctx, needs):
@@ -291,8 +279,8 @@ def _bw_log(b, grad, ctx, needs):
     return (grad / x,)
 
 
-def _fw_tanh(b, datas, params, out=None):
-    out_data = b.tanh(datas[0], out=out)
+def _fw_tanh(b, datas, params):
+    out_data = b.tanh(datas[0])
     return out_data, (out_data,)
 
 
@@ -301,7 +289,7 @@ def _bw_tanh(b, grad, ctx, needs):
     return (grad * (1.0 - out_data**2),)
 
 
-def _fw_relu(b, datas, params, out=None):
+def _fw_relu(b, datas, params):
     (x,) = datas
     mask = x > 0
     return np.where(mask, x, 0.0), (mask,)
@@ -315,16 +303,16 @@ def _bw_relu(b, grad, ctx, needs):
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_tanh(b, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fw_gelu(b, datas, params):
     """``0.5 * x * (1 + t)`` and ``t = tanh(C * (x + 0.044715 * x**3))``.
 
-    The one GELU forward both ``gelu`` and the fused ``bias_gelu`` run.
     The cube is ``(x * x) * x``: NumPy has no fast path for a scalar power
     of 3, so ``x**3`` would call libm ``pow`` once per element, which costs
     several times the rest of the kernel.  The polynomial then reuses its
     temporary in place, keeping the float order ``*0.044715``, ``+x``,
     ``*C``.
     """
+    (x,) = datas
     # An explicit ``out`` keeps ``inner`` an array even for 0-d ``x``,
     # so the in-place steps below always have a buffer to write.
     inner = np.multiply(x, x, out=np.empty_like(x))
@@ -335,12 +323,6 @@ def _gelu_tanh(b, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = b.tanh(inner, out=inner)
     out_data = 0.5 * x
     out_data *= 1.0 + t
-    return out_data, t
-
-
-def _fw_gelu(b, datas, params, out=None):
-    (x,) = datas
-    out_data, t = _gelu_tanh(b, x)
     return out_data, (x, t)
 
 
@@ -351,7 +333,7 @@ def _bw_gelu(b, grad, ctx, needs):
     return (grad * local,)
 
 
-def _fw_sigmoid(b, datas, params, out=None):
+def _fw_sigmoid(b, datas, params):
     out_data = 1.0 / (1.0 + b.exp(-datas[0]))
     return out_data, (out_data,)
 
@@ -361,9 +343,9 @@ def _bw_sigmoid(b, grad, ctx, needs):
     return (grad * out_data * (1.0 - out_data),)
 
 
-def _fw_matmul(b, datas, params, out=None):
+def _fw_matmul(b, datas, params):
     x, y = datas
-    return b.matmul(x, y, out=out), (x, y)
+    return b.matmul(x, y), (x, y)
 
 
 def _bw_matmul(b, grad, ctx, needs):
@@ -376,7 +358,7 @@ def _bw_matmul(b, grad, ctx, needs):
     return (gx, gy)
 
 
-def _fw_sum(b, datas, params, out=None):
+def _fw_sum(b, datas, params):
     (x,) = datas
     axis = params["axis"]
     keepdims = params["keepdims"]
@@ -394,7 +376,7 @@ def _bw_sum(b, grad, ctx, needs):
     return (np.broadcast_to(g, shape).copy(),)
 
 
-def _fw_max(b, datas, params, out=None):
+def _fw_max(b, datas, params):
     (x,) = datas
     axis = params["axis"]
     keepdims = params["keepdims"]
@@ -412,7 +394,7 @@ def _bw_max(b, grad, ctx, needs):
     return (mask * g / counts,)
 
 
-def _fw_reshape(b, datas, params, out=None):
+def _fw_reshape(b, datas, params):
     (x,) = datas
     return x.reshape(params["shape"]), (x.shape,)
 
@@ -422,7 +404,7 @@ def _bw_reshape(b, grad, ctx, needs):
     return (grad.reshape(original),)
 
 
-def _fw_transpose(b, datas, params, out=None):
+def _fw_transpose(b, datas, params):
     (x,) = datas
     axes = params["axes"]
     return x.transpose(axes), (np.argsort(axes),)
@@ -433,7 +415,7 @@ def _bw_transpose(b, grad, ctx, needs):
     return (grad.transpose(inverse),)
 
 
-def _fw_getitem(b, datas, params, out=None):
+def _fw_getitem(b, datas, params):
     (x,) = datas
     return x[params["index"]], (x, params["index"])
 
@@ -445,7 +427,7 @@ def _bw_getitem(b, grad, ctx, needs):
     return (full,)
 
 
-def _fw_take_rows(b, datas, params, out=None):
+def _fw_take_rows(b, datas, params):
     (x,) = datas
     idx = params["indices"]
     return x[idx], (x, idx)
@@ -458,7 +440,7 @@ def _bw_take_rows(b, grad, ctx, needs):
     return (full,)
 
 
-def _fw_softmax(b, datas, params, out=None):
+def _fw_softmax(b, datas, params):
     (x,) = datas
     axis = params["axis"]
     shifted = x - x.max(axis=axis, keepdims=True)
@@ -473,7 +455,7 @@ def _bw_softmax(b, grad, ctx, needs):
     return (out_data * (grad - dot),)
 
 
-def _fw_log_softmax(b, datas, params, out=None):
+def _fw_log_softmax(b, datas, params):
     (x,) = datas
     axis = params["axis"]
     shifted = x - x.max(axis=axis, keepdims=True)
@@ -489,7 +471,7 @@ def _bw_log_softmax(b, grad, ctx, needs):
     return (grad - probs * total,)
 
 
-def _fw_masked_fill(b, datas, params, out=None):
+def _fw_masked_fill(b, datas, params):
     (x,) = datas
     mask = params["mask"]
     return np.where(mask, params["value"], x), (mask, x.shape)
@@ -500,7 +482,7 @@ def _bw_masked_fill(b, grad, ctx, needs):
     return (_unbroadcast(np.where(mask, 0.0, grad), shape),)
 
 
-def _fw_concatenate(b, datas, params, out=None):
+def _fw_concatenate(b, datas, params):
     axis = params["axis"]
     out_data = np.concatenate(datas, axis=axis)
     sizes = [d.shape[axis] for d in datas]
@@ -521,7 +503,7 @@ def _bw_concatenate(b, grad, ctx, needs):
     return tuple(grads)
 
 
-def _fw_stack(b, datas, params, out=None):
+def _fw_stack(b, datas, params):
     return np.stack(datas, axis=params["axis"]), (params["axis"],)
 
 
@@ -533,16 +515,16 @@ def _bw_stack(b, grad, ctx, needs):
 
 
 # ----------------------------------------------------------------------
-# Fused kernels.  Same elementary float sequence as the op chains they
-# replace; ``_canon`` marks every interior tape-node boundary.
+# Fused kernel.  Same elementary float sequence as the op chain it
+# replaces; ``_canon`` marks every interior tape-node boundary.
 # ----------------------------------------------------------------------
 
-def _fw_cross_entropy(b, datas, params, out=None):
+def _fw_cross_entropy(b, datas, params):
     """Mean NLL over non-ignored targets, fused with log-softmax.
 
     Replaces the five-op chain ``log_softmax → getitem → mul → sum →
     neg`` the functional layer used to build, keeping the keep-mask /
-    weight arithmetic inside the op so replay recomputes it per batch.
+    weight arithmetic inside the op.
     """
     (flat,) = datas
     targets = params["targets"]
@@ -575,111 +557,6 @@ def _bw_cross_entropy(b, grad, ctx, needs):
     return (full - probs * total,)
 
 
-def _fw_bias_gelu(b, datas, params, out=None):
-    """``gelu(x + bias)`` — the feed-forward expand activation."""
-    x, y = datas
-    t_in = b.add(x, y)
-    out_data, t = _gelu_tanh(b, t_in)
-    return out_data, (x.shape, y.shape, t_in, t)
-
-
-def _bw_bias_gelu(b, grad, ctx, needs):
-    xs, ys, t_in, t = ctx
-    d_inner = _GELU_C * (1.0 + 3 * 0.044715 * t_in**2)
-    local = 0.5 * (1.0 + t) + 0.5 * t_in * (1.0 - t**2) * d_inner
-    g_t = _canon(grad * local)
-    return (_unbroadcast(g_t, xs) if needs[0] else None,
-            _unbroadcast(g_t, ys) if needs[1] else None)
-
-
-def _fw_masked_softmax(b, datas, params, out=None):
-    """``softmax(masked_fill(scores, mask, value))`` — attention core."""
-    (scores,) = datas
-    mask = params["mask"]
-    axis = params["axis"]
-    masked = np.where(mask, params["value"], scores)
-    shifted = masked - masked.max(axis=axis, keepdims=True)
-    exp = b.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
-    return out_data, (mask, out_data, axis, scores.shape)
-
-
-def _bw_masked_softmax(b, grad, ctx, needs):
-    mask, out_data, axis, shape = ctx
-    dot = (grad * out_data).sum(axis=axis, keepdims=True)
-    g_masked = _canon(out_data * (grad - dot))
-    return (_unbroadcast(np.where(mask, 0.0, g_masked), shape),)
-
-
-def _fw_layernorm(b, datas, params, out=None):
-    """The 16-node layer-norm cluster as one kernel.
-
-    The eager graph computes the feature mean twice (directly and inside
-    ``var``); the values are bitwise equal, so the kernel computes them
-    once.  ``inv_d`` must equal the recorded ``1.0 / dim`` constant.
-    """
-    x, gain, bias = datas
-    inv_d = params["inv_d"]
-    eps = params["eps"]
-    s1 = x.sum(axis=-1, keepdims=True)
-    mu = s1 * inv_d
-    cent = x + np.negative(mu)
-    sq = cent * cent
-    s3 = sq.sum(axis=-1, keepdims=True)
-    var = s3 * inv_d
-    veps = var + eps
-    inv = veps ** -0.5
-    normed = cent * inv
-    o1 = normed * gain
-    out_data = o1 + bias
-    return out_data, (x.shape, gain, bias.shape, cent, inv, veps, normed,
-                      mu.shape, inv_d)
-
-
-def _bw_layernorm(b, grad, ctx, needs, accumulate):
-    """Backward in the exact node order of the eager DFS sweep.
-
-    Input 0 (``x``) receives four contributions — residual path, direct
-    mean, centered square, variance mean — interleaved at the tape
-    positions the eager sweep used, hence the accumulating protocol.
-    """
-    (x_shape, gain, bias_shape, cent, inv, veps, normed,
-     mu_shape, inv_d) = ctx
-    g = grad
-    # out = o1 + bias
-    g_o1 = g
-    accumulate(2, _unbroadcast(g, bias_shape))
-    # o1 = normed * gain
-    g_normed = _canon(g_o1 * gain)
-    accumulate(1, _unbroadcast(g_o1 * normed, gain.shape))
-    # normed = num * inv  (num is bitwise cent)
-    g_num = _canon(g_normed * inv)
-    g_inv = _canon(_unbroadcast(g_normed * cent, inv.shape))
-    # num = x + (-mu): x contribution #1
-    accumulate(0, g_num)
-    g_nmu = _canon(_unbroadcast(g_num, mu_shape))
-    g_mu = _canon(-g_nmu)
-    g_s1 = _canon(g_mu * inv_d)
-    # s1 = x.sum(-1): x contribution #2
-    accumulate(0, np.broadcast_to(g_s1, x_shape))
-    # inv = veps ** -0.5
-    g_veps = _canon(g_inv * -0.5 * veps ** -1.5)
-    g_var = _canon(g_veps)
-    g_s3 = _canon(g_var * inv_d)
-    g_sq = _canon(np.broadcast_to(g_s3, x_shape))
-    # sq = cent * cent: two adds of the same product, in tape order
-    t = g_sq * cent
-    g_cent = _canon(t)
-    g_cent = g_cent + t
-    # cent = x + (-mu2): x contribution #3
-    accumulate(0, g_cent)
-    g_nmu2 = _canon(_unbroadcast(g_cent, mu_shape))
-    g_mu2 = _canon(-g_nmu2)
-    g_s2 = _canon(g_mu2 * inv_d)
-    # s2 = x.sum(-1): x contribution #4
-    accumulate(0, np.broadcast_to(g_s2, x_shape))
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -687,22 +564,22 @@ def _bw_layernorm(b, grad, ctx, needs, accumulate):
 _NUMPY_OPS: dict[str, OpDef] = {}
 
 
-def _register(name: str, forward, vjp, **kwargs: Any) -> None:
-    _NUMPY_OPS[name] = OpDef(name=name, forward=forward, vjp=vjp, **kwargs)
+def _register(name: str, forward, vjp) -> None:
+    _NUMPY_OPS[name] = OpDef(name=name, forward=forward, vjp=vjp)
 
 
-_register("add", _fw_add, _bw_add, supports_out=True)
-_register("neg", _fw_neg, _bw_neg, supports_out=True)
-_register("mul", _fw_mul, _bw_mul, supports_out=True)
-_register("div", _fw_div, _bw_div, supports_out=True)
-_register("pow", _fw_pow, _bw_pow, supports_out=True)
-_register("exp", _fw_exp, _bw_exp, supports_out=True)
-_register("log", _fw_log, _bw_log, supports_out=True)
-_register("tanh", _fw_tanh, _bw_tanh, supports_out=True)
+_register("add", _fw_add, _bw_add)
+_register("neg", _fw_neg, _bw_neg)
+_register("mul", _fw_mul, _bw_mul)
+_register("div", _fw_div, _bw_div)
+_register("pow", _fw_pow, _bw_pow)
+_register("exp", _fw_exp, _bw_exp)
+_register("log", _fw_log, _bw_log)
+_register("tanh", _fw_tanh, _bw_tanh)
 _register("relu", _fw_relu, _bw_relu)
 _register("gelu", _fw_gelu, _bw_gelu)
 _register("sigmoid", _fw_sigmoid, _bw_sigmoid)
-_register("matmul", _fw_matmul, _bw_matmul, supports_out=True)
+_register("matmul", _fw_matmul, _bw_matmul)
 _register("sum", _fw_sum, _bw_sum)
 _register("max", _fw_max, _bw_max)
 _register("reshape", _fw_reshape, _bw_reshape)
@@ -715,9 +592,6 @@ _register("masked_fill", _fw_masked_fill, _bw_masked_fill)
 _register("concatenate", _fw_concatenate, _bw_concatenate)
 _register("stack", _fw_stack, _bw_stack)
 _register("cross_entropy", _fw_cross_entropy, _bw_cross_entropy)
-_register("bias_gelu", _fw_bias_gelu, _bw_bias_gelu)
-_register("masked_softmax", _fw_masked_softmax, _bw_masked_softmax)
-_register("layernorm", _fw_layernorm, _bw_layernorm, accumulating=True)
 
 
 _BACKEND: Backend = NumpyBackend()
@@ -732,9 +606,7 @@ def get_backend() -> Backend:
 def set_backend(backend: Backend) -> Backend:
     """Swap the active backend; returns the previous one.
 
-    The eager layer and any executor built afterwards pick up the new op
-    table immediately; executors already built keep the table they were
-    compiled against.
+    Every ``Tensor`` op dispatched afterwards uses the new op table.
     """
     global _BACKEND, _ACTIVE_OPS
     previous = _BACKEND

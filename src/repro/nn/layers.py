@@ -1,12 +1,8 @@
 """Core neural layers: Linear, Embedding, LayerNorm, Dropout.
 
 Layers compose backend ops through the :class:`Tensor` API only — no raw
-``.data`` arithmetic (lint rule REPRO006) — so each forward works
-identically in eager mode and under tape recording.  The compiled
-executor (:mod:`repro.nn.compile`) fuses the op *patterns* these layers
-emit: ``matmul → add-bias → gelu`` from :class:`Linear` inside a GELU
-MLP, and the ``sub-mean / scale / gain+bias`` chain from
-:class:`LayerNorm` behind a residual add.
+``.data`` arithmetic (lint rule REPRO006) — so every op of a forward is
+a tape node the backward pass, the profiler and the tape sanitizer see.
 """
 
 from __future__ import annotations
@@ -95,7 +91,6 @@ class Dropout(Module):
             return x
         keep = 1.0 - self.p
         # Cast through the library-wide accumulation dtype rather than
-        # relying on bool/float promotion — the mask is drawn eagerly per
-        # step, which is also why compiled replay rejects dropout > 0.
+        # relying on bool/float promotion.
         mask = (self._rng.random(x.shape) < keep).astype(DEFAULT_DTYPE) / keep
         return x * Tensor(mask)

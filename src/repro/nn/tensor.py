@@ -14,9 +14,7 @@ topological order and accumulates gradients into every tensor created with
 Since the backend redesign, the arithmetic itself no longer lives here:
 every op dispatches through :mod:`repro.nn.backend`'s :class:`OpDef` table
 (forward kernel + vector-Jacobian product), and this module only does the
-tape bookkeeping around it.  The compiled executor
-(:mod:`repro.nn.compile`) replays the very same op definitions, which is
-what keeps compiled and eager numerics bit-identical.
+tape bookkeeping around it.
 
 All gradients are checked against central finite differences in the test
 suite (``tests/nn/test_tensor.py``).
@@ -33,8 +31,7 @@ from . import backend as _backend
 from .backend import DEFAULT_DTYPE, _unbroadcast
 
 __all__ = ["Tensor", "no_grad", "inference_mode", "is_grad_enabled",
-           "is_inference_mode", "set_tape_hook", "get_tape_hook",
-           "set_recorder", "get_recorder"]
+           "is_inference_mode", "set_tape_hook", "get_tape_hook"]
 
 _GRAD_ENABLED = True
 _INFERENCE_MODE = False
@@ -48,12 +45,6 @@ _INFERENCE_MODE = False
 # check per op.
 _TAPE_HOOK = None
 _TAPE_ON_NODE = None
-
-# Optional tape recorder (see repro.nn.compile).  When installed it
-# observes every backend-dispatched op — in grad, no-grad and inference
-# mode alike — so one traced step can be captured into a replayable
-# program.  Purely passive: recording never changes what the op returns.
-_RECORDER = None
 
 
 def set_tape_hook(hook) -> object | None:
@@ -71,24 +62,6 @@ def set_tape_hook(hook) -> object | None:
 def get_tape_hook() -> object | None:
     """The currently installed tape hook, if any."""
     return _TAPE_HOOK
-
-
-def set_recorder(recorder) -> object | None:
-    """Install a tape recorder; returns the previously installed one.
-
-    The recorder receives ``record(op_name, inputs, params, out)`` for
-    every backend op as it executes.  Pass ``None`` to uninstall.  Used
-    by :func:`repro.nn.compile.record_program`.
-    """
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = recorder
-    return previous
-
-
-def get_recorder() -> object | None:
-    """The currently installed tape recorder, if any."""
-    return _RECORDER
 
 
 class no_grad:
@@ -232,8 +205,8 @@ class Tensor:
         Runs the backend ``forward`` kernel, wraps the result in a
         ``Tensor`` (slim in inference mode), attaches a generic backward
         closure invoking the backend ``vjp``, and notifies the profiling
-        hook / recorder.  It is the only way a tape node is built: op math
-        that bypasses it is invisible to the compiled executor.
+        hook.  It is the only way a tape node is built: op math that
+        bypasses it gets no gradient and is invisible to the tape hook.
         """
         if params is None:
             params = {}
@@ -249,48 +222,32 @@ class Tensor:
             out._parents = ()
             out._backward = None
             out._op = name
-            if _RECORDER is not None:
-                _RECORDER.record(name, inputs, params, out)
             return out
 
         if _TAPE_HOOK is not None:
             _TAPE_HOOK.on_forward(name, out_data.nbytes)
         requires = _GRAD_ENABLED and any(p.requires_grad for p in inputs)
         if not requires:
-            out = Tensor(out_data)
-            if _RECORDER is not None:
-                _RECORDER.record(name, inputs, params, out)
-            return out
+            return Tensor(out_data)
 
-        if opdef.accumulating:
-            def backward(grad: np.ndarray) -> None:
-                needs = tuple(p.requires_grad for p in inputs)
-
-                def accumulate(index: int, contribution: np.ndarray) -> None:
-                    if needs[index]:
-                        inputs[index]._accumulate(contribution)
-
-                opdef.vjp(b, grad, ctx, needs, accumulate)
-        else:
-            def backward(grad: np.ndarray) -> None:
-                needs = tuple(p.requires_grad for p in inputs)
-                grads = opdef.vjp(b, grad, ctx, needs)
-                for parent, g in zip(inputs, grads):
-                    if g is not None and parent.requires_grad:
-                        parent._accumulate(g)
+        def backward(grad: np.ndarray) -> None:
+            needs = tuple(p.requires_grad for p in inputs)
+            grads = opdef.vjp(b, grad, ctx, needs)
+            for parent, g in zip(inputs, grads):
+                if g is not None and parent.requires_grad:
+                    parent._accumulate(g)
 
         out = Tensor(out_data, requires_grad=True, _parents=inputs,
                      _backward=backward, _op=name)
         if _TAPE_ON_NODE is not None:
             _TAPE_ON_NODE(out)
-        if _RECORDER is not None:
-            _RECORDER.record(name, inputs, params, out)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         # The first write is ``0.0 + grad`` into an unfilled buffer: the
         # float op of a zero fill and ``+=``, in one pass.  It turns -0.0
-        # into +0.0, which the fused kernels' ``_canon`` mirrors.
+        # into +0.0, which ``_canon`` in the fused ``cross_entropy``
+        # backward mirrors.
         if self.grad is None:
             self.grad = np.add(grad, 0.0, out=np.empty_like(
                 self.data, dtype=DEFAULT_DTYPE))

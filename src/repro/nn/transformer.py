@@ -4,15 +4,6 @@ These are the backbone shared by every model in :mod:`repro.models`.  The
 encoder accepts an optional structural attention mask per layer, which is
 how TURL's visibility matrix and MATE's sparse heads are injected without
 changing the backbone code.
-
-The op sequences these blocks emit are the fusion targets of the
-compiled executor (:mod:`repro.nn.compile`): the ``x + sublayer(norm(x))``
-pre-LN residual pattern fuses into a single residual+layernorm kernel,
-the GELU MLP of :class:`FeedForward` into bias+gelu, and the masked
-softmax inside attention into softmax+mask.  Keep forwards expressed
-through these idioms — the fusion pass matches op patterns, not layer
-classes, so an equivalent-but-reordered forward would still be correct
-yet replay unfused.
 """
 
 from __future__ import annotations

@@ -40,10 +40,7 @@ from .masking import IGNORE_INDEX, MaskedBatch, combine_masking, \
 from .objectives import masked_accuracy, mer_loss, mlm_loss
 from ..corpus.stream import EmptyCorpusError, ShardWindow, StreamingCorpus
 from ..models import MlmHead, TableEncoder
-from ..models.base import forward_bindings
 from ..nn import Adam, LinearWarmupSchedule, Tensor, clip_gradients
-from ..nn.compile import ProgramCache, TapeExecutor, binding_signature, \
-    record_program
 from ..parallel import DataParallelEngine, ParallelConfig, \
     WorkerFailedError, shard_slices
 from ..nn.io import (
@@ -96,7 +93,6 @@ class PretrainConfig:
     keep_checkpoints: int = 3     # on-disk snapshot retention (last K)
     health: HealthConfig = field(default_factory=HealthConfig)
     parallel: ParallelConfig | None = None   # None = legacy fused path
-    compile: bool = False         # record the step once, replay it after
     stream_window: int = 8        # max shards resident for streamed corpora
 
     def __post_init__(self) -> None:
@@ -110,11 +106,6 @@ class PretrainConfig:
             raise ValueError("checkpoint_every must be non-negative")
         if self.keep_checkpoints < 1:
             raise ValueError("keep_checkpoints must be positive")
-        if self.compile and self.parallel is not None:
-            raise ValueError(
-                "compile=True is incompatible with data-parallel "
-                "pretraining: the compiled executor replays one fused "
-                "single-process step; pick one of the two")
 
 
 @dataclass
@@ -377,11 +368,6 @@ class Pretrainer:
                 "stochastic forward would consume per-module RNG in "
                 "schedule-dependent order and break the bit-identity "
                 "guarantee across worker counts")
-        if self.config.compile and getattr(model.config, "dropout", 0.0):
-            raise ValueError(
-                "compiled pretraining requires dropout=0.0: dropout masks "
-                "are drawn eagerly per step and would be baked into the "
-                "recorded program as constants")
         self.rng = np.random.default_rng(self.config.seed)
 
         if hasattr(model, "mlm_head"):
@@ -406,7 +392,6 @@ class Pretrainer:
         self.history: list[TrainRecord] = []
         self.health = HealthMonitor(self.config.health, source="pretrain")
         self._last_good: TrainerCheckpoint | None = None
-        self._programs = ProgramCache() if self.config.compile else None
         self._engine: DataParallelEngine | None = None
         self._shard_size = (
             self.config.parallel.resolve_shard_size(self.config.batch_size)
@@ -519,11 +504,6 @@ class Pretrainer:
             source.checkpoint_info(len(self.history), self.config.batch_size)
             if source is not None else None)
         config.pop("stream_window", None)
-        # Compiled replay is bit-identical to eager execution, so the
-        # flag is not part of a run's numeric identity: dropping it keeps
-        # compiled and eager checkpoints byte-identical and lets runs
-        # resume across the two modes.
-        config.pop("compile", None)
         return config
 
     def _check_config_compatible(self, saved: dict) -> None:
@@ -595,11 +575,6 @@ class Pretrainer:
                 f"not be bit-identical")
         self._restored_stream = None
 
-    def _sample_tables(self, corpus: list[Table]) -> list[Table]:
-        count = min(self.config.batch_size, len(corpus))
-        indices = self.rng.choice(len(corpus), size=count, replace=False)
-        return [corpus[int(i)] for i in indices]
-
     def _masked_batch(self, tables: list[Table]):
         return self._masked_batch_rng(tables, self.rng)
 
@@ -645,7 +620,7 @@ class Pretrainer:
         self.health.reset_window()
 
     # ------------------------------------------------------------------
-    # Objective graph (shared by the eager, compiled and sanitize paths)
+    # Objective graph (shared by the serial step and the sanitize check)
     # ------------------------------------------------------------------
     def _objectives(self, masked: MaskedBatch) -> tuple[bool, bool]:
         """Which objectives this batch actually trains (targets present)."""
@@ -658,10 +633,8 @@ class Pretrainer:
                 use_mlm: bool, use_mer: bool) -> dict[str, Tensor]:
         """Build the loss graph over ``hidden``.
 
-        Returns the named tensors a compiled replay must surface:
-        per-objective logits and losses plus the summed ``total`` the
-        backward pass seeds.  Op creation order matches the historical
-        inline code exactly, so recorded programs replay bit-identically.
+        Returns per-objective logits and losses plus the summed ``total``
+        the backward pass seeds.
         """
         outputs: dict[str, Tensor] = {}
         losses = []
@@ -685,7 +658,7 @@ class Pretrainer:
 
     def _summarize(self, outs: dict[str, np.ndarray], masked: MaskedBatch,
                    use_mlm: bool, use_mer: bool) -> tuple:
-        """Step statistics from the (eager or replayed) output arrays."""
+        """Step statistics from the step's output arrays."""
         total_value = float(outs["total"])
         mlm_value = float(outs["mlm_loss"]) if use_mlm else 0.0
         mer_value = float(outs["mer_loss"]) if use_mer else 0.0
@@ -694,57 +667,6 @@ class Pretrainer:
         mer_acc = (masked_accuracy(outs["mer_logits"], masked.mer_targets)
                    if use_mer else 0.0)
         return total_value, mlm_value, mer_value, mlm_acc, mer_acc
-
-    # ------------------------------------------------------------------
-    # Compiled step path (config.compile is set)
-    # ------------------------------------------------------------------
-    def _step_bindings(self, masked: MaskedBatch, use_mlm: bool,
-                       use_mer: bool) -> tuple[dict, dict]:
-        """Structure arrays + named bindings for one step's replay."""
-        arrays = self.model.structure_arrays(masked.batch)
-        bindings = forward_bindings(masked.batch, arrays)
-        if use_mlm:
-            bindings["mlm_targets"] = masked.mlm_targets
-        if use_mer:
-            bindings["mer_targets"] = masked.mer_targets
-        return arrays, bindings
-
-    def _record_step(self, masked: MaskedBatch, arrays: dict, bindings: dict,
-                     use_mlm: bool, use_mer: bool) -> dict[str, Tensor]:
-        """Run one ordinary eager forward under the recorder.
-
-        The recorded program is compiled and cached under the batch's
-        binding signature; the eager output tensors are returned so the
-        recording step doubles as a regular training (or sanitize) step.
-        """
-        program, outputs = record_program(
-            lambda: self._losses(self.model(masked.batch, arrays),
-                                 masked, use_mlm, use_mer),
-            bindings, loss="total")
-        signature = binding_signature(bindings, flags=(use_mlm, use_mer))
-        self._programs.put(signature, TapeExecutor(program))
-        return outputs
-
-    def _compiled_step(self, masked: MaskedBatch, use_mlm: bool,
-                       use_mer: bool) -> dict[str, np.ndarray]:
-        """Forward+backward through the program cache (bit-exact).
-
-        Cache misses (first step of a new padded shape / objective
-        combination) record while training eagerly; hits replay the flat
-        program and its precomputed backward sweep with no Tensor or
-        node construction.
-        """
-        arrays, bindings = self._step_bindings(masked, use_mlm, use_mer)
-        signature = binding_signature(bindings, flags=(use_mlm, use_mer))
-        executor = self._programs.get(signature)
-        if executor is None:
-            outputs = self._record_step(masked, arrays, bindings,
-                                        use_mlm, use_mer)
-            outputs["total"].backward()
-            return {name: t.data for name, t in outputs.items()}
-        outs = executor.run(bindings)
-        executor.backward()
-        return outs
 
     def sanitize_check(self, corpus: "list[Table] | StreamingCorpus"):
         """Preflight tape sanitization of one pretraining forward.
@@ -759,10 +681,6 @@ class Pretrainer:
 
         The sampling RNG state is restored afterwards, so an opted-in
         run draws the identical batch sequence as a run without it.
-        With ``config.compile`` the sanitize forward runs under the tape
-        recorder and seeds the program cache — the first real training
-        step (which re-draws this same batch) replays it instead of
-        paying a second eager step.
         """
         from ..analysis.tape import sanitize_tape, trace_tape
 
@@ -778,15 +696,8 @@ class Pretrainer:
                     "sampled batch produced no pretraining targets; "
                     "cannot sanitize")
             with trace_tape() as tracer:
-                if self._programs is not None:
-                    arrays, bindings = self._step_bindings(
-                        masked, use_mlm, use_mer)
-                    outputs = self._record_step(masked, arrays, bindings,
-                                                use_mlm, use_mer)
-                else:
-                    outputs = self._losses(self.model(masked.batch),
-                                           masked, use_mlm, use_mer)
-                total = outputs["total"]
+                total = self._losses(self.model(masked.batch), masked,
+                                     use_mlm, use_mer)["total"]
         finally:
             self.rng.bit_generator.state = state
         named = [(f"model.{name}", p)
@@ -983,13 +894,10 @@ class Pretrainer:
             use_mlm, use_mer = self._objectives(masked)
             has_grads = use_mlm or use_mer
             if has_grads:
-                if self._programs is not None:
-                    outs = self._compiled_step(masked, use_mlm, use_mer)
-                else:
-                    outputs = self._losses(self.model(masked.batch),
-                                           masked, use_mlm, use_mer)
-                    outputs["total"].backward()
-                    outs = {name: t.data for name, t in outputs.items()}
+                outputs = self._losses(self.model(masked.batch),
+                                       masked, use_mlm, use_mer)
+                outputs["total"].backward()
+                outs = {name: t.data for name, t in outputs.items()}
                 (total_value, mlm_value, mer_value,
                  mlm_acc, mer_acc) = self._summarize(outs, masked,
                                                      use_mlm, use_mer)

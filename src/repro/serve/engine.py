@@ -48,7 +48,6 @@ class ServeConfig:
     """Engine knobs shared by the HTTP server and the batch CLI."""
 
     cache_entries: int = 128
-    compile: bool = False      # tape-replay encoders (bit-identical)
 
     def __post_init__(self) -> None:
         if self.cache_entries < 1:
@@ -85,10 +84,7 @@ class InferenceEngine:
         ``task_name -> TaskPredictor``.  Each predictor's encoder gets
         the engine's shared :class:`EncodingCache` installed.
     config:
-        Cache budget, and whether to enable compiled tape-replay
-        (:meth:`TableEncoder.enable_compiled_inference`) on every
-        predictor's encoder — bit-identical outputs, no per-op Python
-        dispatch on cache-warm signatures.
+        Cache budget.
     """
 
     def __init__(self, predictors: dict[str, Any],
@@ -103,9 +99,6 @@ class InferenceEngine:
             encoder = getattr(predictor, "encoder", None)
             if encoder is not None and hasattr(encoder, "set_encoding_cache"):
                 encoder.set_encoding_cache(self.cache)
-            if self.config.compile and encoder is not None and hasattr(
-                    encoder, "enable_compiled_inference"):
-                encoder.enable_compiled_inference()
 
     def process(self, submissions: list[tuple[str, Any]]
                 ) -> list[PredictResponse]:

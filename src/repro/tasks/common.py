@@ -76,13 +76,8 @@ def predict_in_batches(module, examples: list, batch_size: int,
                        ) -> list[Prediction]:
     """Standard ``predict`` driver: inference scope + fixed-size chunks.
 
-    The ``module.inference()`` scope is also what routes encoders with
-    compiled inference enabled
-    (:meth:`~repro.models.TableEncoder.enable_compiled_inference`, see
-    ``ServeConfig(compile=True)``) through their tape-replay
-    executor: the encoder's forward template only consults its recorded
-    programs while ``is_inference_mode()`` holds, so training-time
-    forwards keep building an autograd tape.
+    The ``module.inference()`` scope puts every forward in eval mode with
+    no autograd tape; training-time forwards outside it keep building one.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")

@@ -117,7 +117,7 @@ def test_repro006_backend_seam_is_exempt():
     source = """
         y = tensor.data * 2
     """
-    for seam in ("backend.py", "compile.py", "tensor.py", "optim.py"):
+    for seam in ("backend.py", "tensor.py", "optim.py"):
         assert _findings(source, path=f"src/repro/nn/{seam}") == []
 
 

@@ -29,6 +29,20 @@ class TestParser:
                                           if command == "pretrain" else [])))
             assert args.command == command
 
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "corpus", "--out", "bundle"],
+        ["predict", "requests.jsonl", "corpus"],
+        ["serve", "corpus"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_compile_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--compile"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "repro: error: unrecognized arguments: --compile")
+        assert "Traceback" not in err
+
 
 class TestCorpusCommand:
     def test_writes_csvs_and_manifest(self, corpus_dir):

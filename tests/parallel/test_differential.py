@@ -41,30 +41,6 @@ class TestPretrainDifferential:
         assert archives[1] == archives[4], (
             f"{name}: workers=4 checkpoint differs from workers=1")
 
-    @pytest.mark.parametrize("name", MODEL_FAMILIES)
-    def test_compiled_checkpoint_bytes_equal_fused_serial(
-            self, name, make_model, wiki_tables, tmp_path):
-        """The tape-replay executor joins the differential contract.
-
-        Compiled mode replays the fused single-process step, so its
-        checkpoint must byte-equal the fused serial run (shard
-        decomposition, by contrast, legitimately changes gradient
-        summation order — the parallel path pins against its own
-        fixtures above).
-        """
-        archives = {}
-        for compile_flag in (False, True):
-            trainer = Pretrainer(
-                make_model(name),
-                pretrain_config(1, parallel=None, compile=compile_flag),
-                clock=FixedClock())
-            trainer.train(wiki_tables)
-            path = trainer.save_checkpoint(
-                tmp_path / f"{name}-compile{int(compile_flag)}")
-            archives[compile_flag] = path.read_bytes()
-        assert archives[True] == archives[False], (
-            f"{name}: compiled checkpoint differs from fused serial")
-
     def test_worker_count_sweep_histories_identical(
             self, make_model, wiki_tables):
         histories = {}

@@ -32,13 +32,11 @@ ATOL = 1e-9
 
 
 def run_history(name, tokenizer, config, wiki_tables,
-                parallel: ParallelConfig | None = None,
-                compile: bool = False) -> list[dict]:
+                parallel: ParallelConfig | None = None) -> list[dict]:
     model = create_model(name, tokenizer, config=config, seed=0)
     trainer = Pretrainer(
         model,
-        PretrainConfig(steps=STEPS, batch_size=4, seed=0, parallel=parallel,
-                       compile=compile),
+        PretrainConfig(steps=STEPS, batch_size=4, seed=0, parallel=parallel),
         clock=FixedClock())
     trainer.train(wiki_tables)
     return [{"step": r.step, "loss": r.loss, "grad_norm": r.grad_norm}
@@ -84,19 +82,6 @@ def check_against_golden(tag: str, actual: list[dict]) -> None:
 @pytest.mark.parametrize("name", FAMILIES)
 def test_serial_history_matches_golden(name, tokenizer, config, wiki_tables):
     actual = run_history(name, tokenizer, config, wiki_tables)
-    check_against_golden(name, actual)
-
-
-@pytest.mark.parametrize("name", FAMILIES)
-def test_compiled_history_matches_golden(name, tokenizer, config,
-                                         wiki_tables):
-    """Tape-replay execution must reproduce the eager fixtures exactly.
-
-    The compiled path pins itself against the *same* golden files as the
-    serial path — no separate fixtures — because replay is bit-identical
-    by contract, not merely close.
-    """
-    actual = run_history(name, tokenizer, config, wiki_tables, compile=True)
     check_against_golden(name, actual)
 
 

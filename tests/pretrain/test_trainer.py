@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import create_model
+from repro.parallel import FixedClock, ParallelConfig
 from repro.pretrain import PretrainConfig, Pretrainer, masked_accuracy, IGNORE_INDEX
 from repro.nn import Tensor
 
@@ -93,3 +95,27 @@ class TestPretrainerTurl:
         config = PretrainConfig(steps=3, batch_size=2, use_mlm=False)
         history = Pretrainer(turl, config).train(wiki_tables)
         assert all(r.mlm_loss == 0 for r in history)
+
+
+class TestSanitizeCheck:
+    @pytest.mark.parametrize("parallel", [None, ParallelConfig(workers=1)],
+                             ids=["serial", "workers1"])
+    @pytest.mark.parametrize("name", ["bert", "turl"])
+    def test_preflight_leaves_checkpoint_bytes_unchanged(
+            self, name, parallel, tokenizer, config, wiki_tables, tmp_path):
+        # The preflight draws and masks one batch, then restores the
+        # sampling RNG.  turl trains MLM+MER; workers=1 is the path
+        # `repro pretrain` takes.
+        archives = []
+        for preflight in (False, True):
+            trainer = Pretrainer(
+                create_model(name, tokenizer, config=config, seed=0),
+                PretrainConfig(steps=8, batch_size=4, seed=0,
+                               parallel=parallel),
+                clock=FixedClock())
+            if preflight:
+                trainer.sanitize_check(wiki_tables)
+            trainer.train(wiki_tables)
+            path = trainer.save_checkpoint(tmp_path / f"run{int(preflight)}")
+            archives.append(path.read_bytes())
+        assert archives[0] == archives[1]
