@@ -17,14 +17,16 @@ The loop is fault-tolerant:
   npz+manifest writer in :mod:`repro.nn.io`, with bounded retention
   (``keep_checkpoints``), and resuming from a directory falls back to
   the newest snapshot that still verifies;
-- a :class:`~repro.runtime.HealthMonitor` checks loss and gradient norm
-  every step; bad steps are skipped before they reach ``Adam.step`` and
-  a streak of them rolls the trainer back to its last good checkpoint
-  with a reduced learning rate.
+- every step runs through the :class:`~repro.trainloop.TrainLoop` that
+  fine-tuning shares, whose :class:`~repro.runtime.HealthMonitor` checks
+  loss and gradient norm; bad steps are skipped before they reach
+  ``Adam.step`` and a streak of them rolls the trainer back to its last
+  good checkpoint with a reduced learning rate.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import warnings
@@ -37,27 +39,22 @@ import numpy as np
 
 from .masking import IGNORE_INDEX, MaskedBatch, combine_masking, \
     mask_for_mer, mask_for_mlm
-from .objectives import masked_accuracy, mer_loss, mlm_loss
+from .objectives import mer_loss, mlm_loss
 from ..corpus.stream import EmptyCorpusError, ShardWindow, StreamingCorpus
 from ..models import MlmHead, TableEncoder
-from ..nn import Adam, LinearWarmupSchedule, Tensor, clip_gradients
-from ..parallel import DataParallelEngine, ParallelConfig, \
-    WorkerFailedError, shard_slices
+from ..nn import Adam, LinearWarmupSchedule, Tensor
+# Imported only because benchmarks/perf/layers.py wraps it here.
+from ..nn import clip_gradients  # noqa: F401
+from ..parallel import ParallelConfig, shard_slices
 from ..nn.io import (
     CheckpointError,
     latest_valid_checkpoint,
     read_npz_verified,
     write_npz_atomic,
 )
-from ..runtime import (
-    HealthConfig,
-    HealthMonitor,
-    TrainRecord,
-    TrainingDivergedError,
-    emit_train_record,
-    get_registry,
-)
+from ..runtime import HealthConfig, TrainRecord, get_registry
 from ..tables import Table
+from ..trainloop import TrainLoop, sanitize_preflight
 
 __all__ = ["PretrainConfig", "Pretrainer", "TrainerCheckpoint",
            "EmptyCorpusError"]
@@ -92,7 +89,7 @@ class PretrainConfig:
     checkpoint_every: int = 0     # snapshot cadence in steps; 0 disables
     keep_checkpoints: int = 3     # on-disk snapshot retention (last K)
     health: HealthConfig = field(default_factory=HealthConfig)
-    parallel: ParallelConfig | None = None   # None = legacy fused path
+    parallel: ParallelConfig | None = None   # None = one in-process shard
     stream_window: int = 8        # max shards resident for streamed corpora
 
     def __post_init__(self) -> None:
@@ -247,6 +244,17 @@ def _slice_masked(masked: MaskedBatch, rows: slice) -> MaskedBatch:
                        mer_targets=masked.mer_targets[rows])
 
 
+def _step_extras(totals: dict) -> dict:
+    """A pretraining record's extras from its summed shard stats."""
+    extras = {"mlm_loss": totals.get("mlm_loss", 0.0),
+              "mer_loss": totals.get("mer_loss", 0.0)}
+    for name in ("mlm", "mer"):
+        count = totals.get(f"{name}_count", 0)
+        extras[f"{name}_accuracy"] = (totals[f"{name}_correct"] / count
+                                      if count else 0.0)
+    return extras
+
+
 # ----------------------------------------------------------------------
 # Corpus sources: one batch-drawing protocol over lists and streams
 # ----------------------------------------------------------------------
@@ -361,13 +369,6 @@ class Pretrainer:
         self.model = model
         self.config = config or PretrainConfig()
         self.clock = clock
-        if (self.config.parallel is not None
-                and getattr(model.config, "dropout", 0.0)):
-            raise ValueError(
-                "data-parallel pretraining requires dropout=0.0: a "
-                "stochastic forward would consume per-module RNG in "
-                "schedule-dependent order and break the bit-identity "
-                "guarantee across worker counts")
         self.rng = np.random.default_rng(self.config.seed)
 
         if hasattr(model, "mlm_head"):
@@ -390,12 +391,14 @@ class Pretrainer:
         self.schedule = LinearWarmupSchedule(
             self.config.learning_rate, warmup, self.config.steps + 1)
         self.history: list[TrainRecord] = []
-        self.health = HealthMonitor(self.config.health, source="pretrain")
+        self._loop = TrainLoop(
+            self.optimizer, model, source="pretrain",
+            grad_clip=self.config.grad_clip, health=self.config.health,
+            parallel=self.config.parallel, clock=clock,
+            schedule=self.schedule)
+        self.health = self._loop.health
         self._last_good: TrainerCheckpoint | None = None
-        self._engine: DataParallelEngine | None = None
-        self._shard_size = (
-            self.config.parallel.resolve_shard_size(self.config.batch_size)
-            if self.config.parallel is not None else None)
+        self._shard_size = self._loop.shard_size(self.config.batch_size)
         self._source: "_ListSource | _WindowSource | _SequentialSource | None" = None
         self._desc_memo: tuple[int, MaskedBatch] | None = None
         self._restored_stream: dict | None = None
@@ -575,16 +578,13 @@ class Pretrainer:
                 f"not be bit-identical")
         self._restored_stream = None
 
-    def _masked_batch(self, tables: list[Table]):
-        return self._masked_batch_rng(tables, self.rng)
-
-    def _masked_batch_rng(self, tables: list[Table],
-                          rng: np.random.Generator):
+    def _masked_batch(self, tables: list[Table],
+                      rng: np.random.Generator) -> MaskedBatch:
         """Batch + mask ``tables`` drawing masking noise from ``rng``.
 
-        Factored out of :meth:`_masked_batch` so worker-side shard
-        regeneration can replay a step's masking under a restored
-        generator without touching the trainer's own RNG stream.
+        The generator is a parameter so worker-side shard regeneration
+        can replay a step's masking under a restored generator without
+        touching the trainer's own RNG stream.
         """
         batch, serialized = self.model.batch(tables)
         vocab = self.model.tokenizer.vocab
@@ -604,127 +604,45 @@ class Pretrainer:
                             whole_cell=self.config.whole_cell_masking)
 
     # ------------------------------------------------------------------
-    def _rollback(self) -> None:
-        """Return to the last good checkpoint with a reduced base LR."""
-        if self.health.rollback_exhausted():
-            raise TrainingDivergedError(
-                f"pretraining diverged: {self.health.bad_steps} bad steps "
-                f"and {self.health.rollbacks} rollbacks "
-                f"(max {self.config.health.max_rollbacks})")
-        if self._last_good is None:
-            raise TrainingDivergedError(
-                "pretraining diverged before the first checkpoint; "
-                "no state to roll back to")
-        self.restore(self._last_good)
-        self.schedule.lr *= self.config.health.lr_backoff
-        self.health.reset_window()
-
+    # The step: shard payloads and their loss, run by the TrainLoop
     # ------------------------------------------------------------------
-    # Objective graph (shared by the serial step and the sanitize check)
-    # ------------------------------------------------------------------
-    def _objectives(self, masked: MaskedBatch) -> tuple[bool, bool]:
-        """Which objectives this batch actually trains (targets present)."""
-        use_mlm = bool(self.config.use_mlm and masked.num_mlm_targets)
-        use_mer = bool(self.supports_mer and self.config.use_mer
-                       and masked.num_mer_targets)
-        return use_mlm, use_mer
-
-    def _losses(self, hidden: Tensor, masked: MaskedBatch,
-                use_mlm: bool, use_mer: bool) -> dict[str, Tensor]:
-        """Build the loss graph over ``hidden``.
-
-        Returns per-objective logits and losses plus the summed ``total``
-        the backward pass seeds.
-        """
-        outputs: dict[str, Tensor] = {}
-        losses = []
-        if use_mlm:
-            logits = self.mlm_head(hidden)
-            loss = mlm_loss(logits, masked)
-            losses.append(loss)
-            outputs["mlm_logits"] = logits
-            outputs["mlm_loss"] = loss
-        if use_mer:
-            logits = self.model.mer_head(hidden)
-            loss = mer_loss(logits, masked)
-            losses.append(loss)
-            outputs["mer_logits"] = logits
-            outputs["mer_loss"] = loss
-        total = losses[0]
-        for extra in losses[1:]:
-            total = total + extra
-        outputs["total"] = total
-        return outputs
-
-    def _summarize(self, outs: dict[str, np.ndarray], masked: MaskedBatch,
-                   use_mlm: bool, use_mer: bool) -> tuple:
-        """Step statistics from the step's output arrays."""
-        total_value = float(outs["total"])
-        mlm_value = float(outs["mlm_loss"]) if use_mlm else 0.0
-        mer_value = float(outs["mer_loss"]) if use_mer else 0.0
-        mlm_acc = (masked_accuracy(outs["mlm_logits"], masked.mlm_targets)
-                   if use_mlm else 0.0)
-        mer_acc = (masked_accuracy(outs["mer_logits"], masked.mer_targets)
-                   if use_mer else 0.0)
-        return total_value, mlm_value, mer_value, mlm_acc, mer_acc
-
     def sanitize_check(self, corpus: "list[Table] | StreamingCorpus"):
         """Preflight tape sanitization of one pretraining forward.
 
-        Samples a batch, computes the configured objectives under
-        :func:`~repro.analysis.trace_tape` (no backward, no optimizer
-        step) and runs :func:`~repro.analysis.sanitize_tape` over the
-        loss graph — dead parameters, untouched ops, float64 creep,
-        NaN-prone fan-out.  Findings are emitted through the runtime
-        metrics registry (``kind="sanitize"`` events) and the report is
-        returned for rendering.
+        Samples a batch and traces the step's shard loss over it as one
+        whole-batch payload (no backward, no optimizer step) with
+        :func:`~repro.trainloop.sanitize_preflight` — dead parameters,
+        untouched ops, float64 creep, NaN-prone fan-out.  Findings are
+        emitted through the runtime metrics registry (``kind="sanitize"``
+        events) and the report is returned for rendering.
 
         The sampling RNG state is restored afterwards, so an opted-in
         run draws the identical batch sequence as a run without it.
         """
-        from ..analysis.tape import sanitize_tape, trace_tape
-
         source = self._bind_source(corpus)
         state = self.rng.bit_generator.state
         try:
             masked = self._masked_batch(
                 source.draw(self.rng, self.config.batch_size,
-                            len(self.history)))
-            use_mlm, use_mer = self._objectives(masked)
-            if not (use_mlm or use_mer):
-                raise ValueError(
-                    "sampled batch produced no pretraining targets; "
-                    "cannot sanitize")
-            with trace_tape() as tracer:
-                total = self._losses(self.model(masked.batch), masked,
-                                     use_mlm, use_mer)["total"]
+                            len(self.history)), self.rng)
         finally:
             self.rng.bit_generator.state = state
+        payloads = self._payloads(masked, masked.batch.batch_size)
+        if not payloads:
+            raise ValueError(
+                "sampled batch produced no pretraining targets; "
+                "cannot sanitize")
         named = [(f"model.{name}", p)
                  for name, p in self.model.named_parameters()]
         seen = {id(p) for _, p in named}
         named += [(f"mlm_head.{name}", p)
                   for name, p in self.mlm_head.named_parameters()
                   if id(p) not in seen]
-        report = sanitize_tape(total, parameters=named, traced=tracer.nodes)
-        report.emit()
-        return report
-
-    # ------------------------------------------------------------------
-    # Data-parallel step path (config.parallel is set)
-    # ------------------------------------------------------------------
-    def _ensure_engine(self) -> DataParallelEngine:
-        if self._engine is None:
-            self._engine = DataParallelEngine(
-                self.optimizer.parameters, self._shard_compute,
-                self.config.parallel, health=self.health)
-        return self._engine
+        return sanitize_preflight(self._shard_loss, payloads[0], named)
 
     def close(self) -> None:
         """Release worker processes; a later step re-forks them lazily."""
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        self._loop.close()
 
     def _resolve_descriptor(self, desc: _ShardDescriptor) -> _ShardPayload:
         """Regenerate a shard payload from its descriptor (pure).
@@ -743,82 +661,74 @@ class Pretrainer:
             rng.bit_generator.state = desc.rng_state
             tables = self._source.draw(rng, self.config.batch_size,
                                        desc.step)
-            self._desc_memo = (desc.step, self._masked_batch_rng(tables, rng))
+            self._desc_memo = (desc.step, self._masked_batch(tables, rng))
         masked = self._desc_memo[1]
         shard = _slice_masked(masked, slice(desc.rows[0], desc.rows[1]))
         return _ShardPayload(shard, desc.mlm_weight, desc.mer_weight)
 
-    def _shard_compute(self, payload: "_ShardPayload | _ShardDescriptor"
-                       ) -> dict:
-        """Forward+backward one micro-shard (runs in-process or forked).
+    def _shard_loss(self, payload: "_ShardPayload | _ShardDescriptor"
+                    ) -> tuple[Tensor | None, dict]:
+        """The loss graph of one micro-shard (runs in-process or forked).
 
         Losses arrive pre-normalized (``payload.*_weight`` is this
-        shard's share of the step's prediction targets), so the engine's
-        unweighted fixed-order sum of shard losses/gradients equals the
-        fused mean-over-targets objective.  Streamed runs ship
+        shard's share of the step's prediction targets), so the fixed-
+        order sum of shard losses and gradients equals the batch's
+        mean-over-targets objective.  Streamed runs ship
         :class:`_ShardDescriptor` references instead of batch slices;
         they are resolved (regenerated) here first.
         """
         if isinstance(payload, _ShardDescriptor):
             payload = self._resolve_descriptor(payload)
         masked = payload.masked
-        stats = {"loss": 0.0, "mlm_loss": 0.0, "mer_loss": 0.0,
+        stats = {"mlm_loss": 0.0, "mer_loss": 0.0,
                  "mlm_correct": 0, "mlm_count": 0,
                  "mer_correct": 0, "mer_count": 0}
         if payload.mlm_weight == 0.0 and payload.mer_weight == 0.0:
-            return stats
+            return None, stats
         hidden = self.model(masked.batch)
-        losses = []
-        if payload.mlm_weight > 0.0:
-            logits = self.mlm_head(hidden)
-            loss = mlm_loss(logits, masked) * payload.mlm_weight
-            losses.append(loss)
-            stats["mlm_loss"] = float(loss.data)
-            keep = masked.mlm_targets != IGNORE_INDEX
+        objectives = (
+            ("mlm", payload.mlm_weight, self.mlm_head, mlm_loss,
+             masked.mlm_targets),
+            ("mer", payload.mer_weight, getattr(self.model, "mer_head", None),
+             mer_loss, masked.mer_targets))
+        total = None
+        for name, weight, head, objective, targets in objectives:
+            if weight == 0.0:
+                continue
+            logits = head(hidden)
+            loss = objective(logits, masked) * weight
+            stats[f"{name}_loss"] = float(loss.data)
+            keep = targets != IGNORE_INDEX
             predicted = logits.data.argmax(axis=-1)
-            stats["mlm_correct"] = int(
-                (predicted[keep] == masked.mlm_targets[keep]).sum())
-            stats["mlm_count"] = int(keep.sum())
-        if payload.mer_weight > 0.0:
-            logits = self.model.mer_head(hidden)
-            loss = mer_loss(logits, masked) * payload.mer_weight
-            losses.append(loss)
-            stats["mer_loss"] = float(loss.data)
-            keep = masked.mer_targets != IGNORE_INDEX
-            predicted = logits.data.argmax(axis=-1)
-            stats["mer_correct"] = int(
-                (predicted[keep] == masked.mer_targets[keep]).sum())
-            stats["mer_count"] = int(keep.sum())
-        total = losses[0]
-        for extra in losses[1:]:
-            total = total + extra
-        stats["loss"] = float(total.data)
-        total.backward()
-        return stats
+            stats[f"{name}_correct"] = int(
+                (predicted[keep] == targets[keep]).sum())
+            stats[f"{name}_count"] = int(keep.sum())
+            total = loss if total is None else total + loss
+        return total, stats
 
-    def _parallel_backward(self, masked: MaskedBatch, *,
-                           step: int | None = None,
-                           rng_state: dict | None = None):
-        """Shard the batch, run the engine, install combined gradients.
+    def _payloads(self, masked: MaskedBatch, shard_size: int,
+                  step: int = 0, rng_state: dict | None = None) -> list:
+        """Cut a masked batch into weighted shard payloads.
 
-        Returns ``(loss, mlm_loss, mer_loss, mlm_acc, mer_acc)`` or
-        ``None`` when the batch produced no prediction targets (the
-        serial path's "no losses" case).  All RNG work already happened
-        in the parent, so worker count cannot perturb the random stream.
+        Each objective's weight is the shard's share of the batch's
+        targets, so the fixed-order sum of shard losses is the batch
+        mean.  Empty when the batch has no prediction targets.  All RNG
+        work already happened in the parent, so worker count cannot
+        perturb the random stream.
 
-        With ``rng_state`` set (streamed corpus, workers > 1) the engine
-        is handed :class:`_ShardDescriptor` references instead of batch
-        slices: workers regenerate their shards from the fork-inherited
-        corpus source, which keeps step frames small and makes lost
-        shards replayable bit-identically after a respawn.
+        With ``rng_state`` set (streamed corpus, workers > 1) the
+        payloads are :class:`_ShardDescriptor` references instead of
+        batch slices: workers regenerate their shards from the
+        fork-inherited corpus source, which keeps step frames small and
+        makes lost shards replayable bit-identically after a respawn.
         """
         use_mer = self.supports_mer and self.config.use_mer
         total_mlm = masked.num_mlm_targets if self.config.use_mlm else 0
         total_mer = masked.num_mer_targets if use_mer else 0
         if not (total_mlm or total_mer):
-            return None
+            return []
         payloads = []
-        for rows in shard_slices(masked.batch.batch_size, self._shard_size):
+        for rows in shard_slices(masked.batch.batch_size, shard_size):
             shard = _slice_masked(masked, rows)
             mlm_weight = (shard.num_mlm_targets / total_mlm
                           if total_mlm else 0.0)
@@ -838,25 +748,7 @@ class Pretrainer:
             # built, so the engine's degraded in-process fallback does
             # not regenerate it (and provably cannot touch self.rng).
             self._desc_memo = (step, masked)
-        engine = self._ensure_engine()
-        try:
-            outcome = engine.step(payloads)
-        except (BrokenPipeError, EOFError) as error:
-            # The supervisor absorbs transport failures it can attribute
-            # to a worker; anything that still escapes is surfaced as a
-            # typed operator error instead of a raw pipe traceback.
-            raise WorkerFailedError(
-                -1, len(self.history),
-                f"worker transport failed: {error!r}") from error
-        engine.load_grads(outcome.grads)
-        totals = {key: sum(s[key] for s in outcome.stats)
-                  for key in outcome.stats[0]}
-        mlm_acc = (totals["mlm_correct"] / totals["mlm_count"]
-                   if totals["mlm_count"] else 0.0)
-        mer_acc = (totals["mer_correct"] / totals["mer_count"]
-                   if totals["mer_count"] else 0.0)
-        return (totals["loss"], totals["mlm_loss"], totals["mer_loss"],
-                mlm_acc, mer_acc)
+        return payloads
 
     def train_step(self, corpus: "list[Table] | StreamingCorpus"
                    ) -> TrainRecord:
@@ -877,61 +769,15 @@ class Pretrainer:
         rng_state = (self.rng.bit_generator.state
                      if ship_descriptors else None)
         masked = self._masked_batch(
-            source.draw(self.rng, self.config.batch_size, step))
-        tokens = int(masked.batch.token_ids.size)
-
-        self.optimizer.zero_grad()
-        mlm_value = mer_value = 0.0
-        mlm_acc = mer_acc = 0.0
-        total_value = 0.0
-        if self.config.parallel is not None:
-            summary = self._parallel_backward(masked, step=step,
-                                              rng_state=rng_state)
-            has_grads = summary is not None
-            if has_grads:
-                total_value, mlm_value, mer_value, mlm_acc, mer_acc = summary
-        else:
-            use_mlm, use_mer = self._objectives(masked)
-            has_grads = use_mlm or use_mer
-            if has_grads:
-                outputs = self._losses(self.model(masked.batch),
-                                       masked, use_mlm, use_mer)
-                outputs["total"].backward()
-                outs = {name: t.data for name, t in outputs.items()}
-                (total_value, mlm_value, mer_value,
-                 mlm_acc, mer_acc) = self._summarize(outs, masked,
-                                                     use_mlm, use_mer)
-
-        skipped = False
-        rolled_back = False
-        if has_grads:
-            grad_norm = clip_gradients(self.optimizer.parameters,
-                                       self.config.grad_clip)
-            verdict = self.health.check(step, total_value, grad_norm)
-            if verdict.ok:
-                self.optimizer.lr = self.schedule(step)
-                self.optimizer.step()
-            else:
-                skipped = True
-                self.optimizer.zero_grad()
-                if verdict.rollback:
-                    rolled_back = True
-                    self._rollback()
-        else:
-            grad_norm = 0.0
-
-        extras = {"mlm_loss": mlm_value, "mer_loss": mer_value,
-                  "mlm_accuracy": mlm_acc, "mer_accuracy": mer_acc}
-        if skipped:
-            extras["skipped"] = 1.0
-        record = TrainRecord(
-            step=step, loss=total_value, lr=self.optimizer.lr,
-            grad_norm=grad_norm, wall_time=self.clock() - started,
-            tokens=tokens, extras=extras,
-        )
+            source.draw(self.rng, self.config.batch_size, step), self.rng)
+        restore = (None if self._last_good is None
+                   else functools.partial(self.restore, self._last_good))
+        record, rolled_back = self._loop.step(
+            step, self._payloads(masked, self._shard_size, step, rng_state),
+            self._shard_loss, restore=restore, extras=_step_extras,
+            started=started, tokens=int(masked.batch.token_ids.size))
         if not rolled_back:
             self.history.append(record)
-        emit_train_record(record, source="pretrain")
         return record
 
     # ------------------------------------------------------------------
@@ -987,8 +833,12 @@ class Pretrainer:
                 self.train_step(corpus)
                 done = len(self.history)
                 cadence = self.config.checkpoint_every
+                # After a rollback this re-captures the snapshot it
+                # restored, backed-off rate included; after one onto the
+                # initial snapshot the history is empty.
                 if (cadence and done % cadence == 0
-                        and not self.history[-1].extras.get("skipped")):
+                        and not (self.history
+                                 and self.history[-1].extras.get("skipped"))):
                     self._last_good = self.capture()
                     if directory is not None:
                         self._write_snapshot(directory)

@@ -6,7 +6,6 @@ from .common import (
     Prediction,
     TaskPredictor,
     finetune,
-    minibatches,
     pooled_span,
     predict_in_batches,
 )
@@ -23,7 +22,7 @@ from .retrieval import BiEncoderRetriever, LexicalRetriever
 from .text2sql import SKETCH_AGGREGATES, SketchParser
 
 __all__ = [
-    "FinetuneConfig", "finetune", "pooled_span", "minibatches",
+    "FinetuneConfig", "finetune", "pooled_span",
     "Prediction", "TaskPredictor", "predict_in_batches",
     "ValueImputer", "EntityImputer", "build_value_vocabulary",
     "build_value_vocabulary_from_tables",

@@ -22,21 +22,17 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..nn import Adam, Tensor, clip_gradients
+from ..nn import Adam, Tensor
+# Imported only because benchmarks/perf/layers.py wraps it here.
+from ..nn import clip_gradients  # noqa: F401
 from ..models import TableEncoder
-from ..parallel import DataParallelEngine, ParallelConfig, shard_slices
-from ..runtime import (
-    HealthConfig,
-    HealthMonitor,
-    TrainingDivergedError,
-    TrainRecord,
-    emit_train_record,
-)
+from ..parallel import ParallelConfig, shard_slices
+from ..runtime import HealthConfig, TrainRecord
+from ..trainloop import TrainLoop, sanitize_preflight
 
 __all__ = [
     "Prediction", "TaskPredictor", "predict_in_batches",
-    "FinetuneConfig", "finetune", "pooled_span", "minibatches",
-    "minibatch_indices",
+    "FinetuneConfig", "finetune", "pooled_span", "minibatch_indices",
 ]
 
 
@@ -105,7 +101,7 @@ class FinetuneConfig:
     grad_clip: float = 1.0
     seed: int = 0
     freeze_encoder: bool = False
-    parallel: ParallelConfig | None = None   # None = legacy fused path
+    parallel: ParallelConfig | None = None   # None = one in-process shard
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -131,34 +127,13 @@ def minibatch_indices(count: int, batch_size: int,
 
     The index form is what the data-parallel path ships to workers —
     forked children index into their inherited example list, so example
-    objects never cross a pipe.  ``minibatches`` builds on this, so both
-    paths consume the RNG identically.
+    objects never cross a pipe.
     """
     order = np.arange(count)
     if rng is not None:
         rng.shuffle(order)
     for start in range(0, count, batch_size):
         yield [int(i) for i in order[start:start + batch_size]]
-
-
-def minibatches(items: list, batch_size: int,
-                rng: np.random.Generator | None = None):
-    """Yield shuffled (if ``rng``) fixed-size chunks of ``items``."""
-    for indices in minibatch_indices(len(items), batch_size, rng):
-        yield [items[i] for i in indices]
-
-
-def _capture_snapshot(parameters, optimizer: Adam) -> tuple[list, dict]:
-    """Copy the trainable state the health guard can roll back to."""
-    return ([p.data.copy() for p in parameters], optimizer.state_dict())
-
-
-def _restore_snapshot(parameters, optimizer: Adam,
-                      snapshot: tuple[list, dict]) -> None:
-    arrays, optimizer_state = snapshot
-    for param, saved in zip(parameters, arrays):
-        param.data[...] = saved
-    optimizer.load_state_dict(optimizer_state)
 
 
 def finetune(task, examples: list, config: FinetuneConfig | None = None,
@@ -178,19 +153,18 @@ def finetune(task, examples: list, config: FinetuneConfig | None = None,
         When ``config.freeze_encoder`` is set, parameters belonging to this
         encoder are excluded from optimization (linear-probe fine-tuning).
     sanitize:
-        Trace one preflight loss before training and run
-        :func:`~repro.analysis.sanitize_tape` over its graph (dead
+        Trace one preflight loss over the first batch before training and
+        run :func:`~repro.analysis.sanitize_tape` over its graph (dead
         parameters, untouched ops, float64 creep, NaN-prone fan-out);
         findings are emitted through the runtime metrics registry as
         ``kind="sanitize"`` events.  No optimizer state is touched.
     health:
         Configuration of the numerical-health guard (defaults on).  Steps
         with a NaN/Inf loss or gradient never reach ``Adam.step``; a
-        streak of bad steps restores the last in-memory parameter
-        snapshot with a reduced learning rate, and a run that keeps
-        diverging past ``max_rollbacks`` raises
+        streak of bad steps restores the in-memory snapshot taken every
+        8 good steps and backs off its learning rate, and a run that
+        keeps diverging past ``max_rollbacks`` raises
         :class:`~repro.runtime.TrainingDivergedError`.
-
     clock:
         Injectable time source for ``record.wall_time`` (defaults to
         ``time.perf_counter``); pass a deterministic clock to make run
@@ -198,14 +172,15 @@ def finetune(task, examples: list, config: FinetuneConfig | None = None,
 
     Returns
     -------
-    One :class:`~repro.runtime.TrainRecord` per optimizer step; the loss
-    values previously returned as bare floats live in ``record.loss``,
-    and ``record.epoch``/``record.batch_size`` are carried as extras.
+    One :class:`~repro.runtime.TrainRecord` per optimizer step, with
+    ``epoch`` and ``batch_size`` as extras.
 
-    With ``config.parallel`` set, each minibatch is cut into micro-shards
+    Every step runs through :class:`~repro.trainloop.TrainLoop`.  With
+    ``config.parallel`` set, each minibatch is cut into micro-shards
     whose gradients are computed across worker processes and combined by
     the fixed-order tree reduce of :mod:`repro.parallel` — results are
-    bit-identical for any worker count.
+    bit-identical for any worker count, which is why that path refuses
+    an encoder with active dropout.
     """
     config = config or FinetuneConfig()
     if not examples:
@@ -221,85 +196,48 @@ def finetune(task, examples: list, config: FinetuneConfig | None = None,
         if not parameters:
             raise ValueError("freezing the encoder left nothing to train")
     optimizer = Adam(parameters, lr=config.learning_rate)
-    monitor = HealthMonitor(health, source="finetune")
-    snapshot = _capture_snapshot(parameters, optimizer)
-    good_steps = 0
+    loop = TrainLoop(optimizer, task, source="finetune",
+                     grad_clip=config.grad_clip, health=health,
+                     parallel=config.parallel, clock=clock)
+    shard_size = loop.shard_size(config.batch_size)
+
+    def shard_loss(payload: tuple[list[int], float]) -> tuple[Tensor, dict]:
+        # Each shard's loss carries its n_shard/n_batch share, so the
+        # fixed-order sum over shards is the mean over the batch.
+        indices, weight = payload
+        return task.loss([examples[i] for i in indices]) * weight, {}
+
+    snapshot = (task.state_dict(), optimizer.state_dict())
+
+    def restore() -> None:
+        task.load_state_dict(snapshot[0])
+        optimizer.load_state_dict(snapshot[1])
 
     task.train()
     if sanitize:
-        from ..analysis.tape import sanitize_tape, trace_tape
-
-        with trace_tape() as tracer:
-            preflight = task.loss(examples[: config.batch_size])
-        sanitize_tape(preflight, parameters=task,
-                      traced=tracer.nodes).emit()
-    engine: DataParallelEngine | None = None
-    shard_size = 0
-    if config.parallel is not None:
-        shard_size = config.parallel.resolve_shard_size(config.batch_size)
-
-        def _shard_loss(payload: tuple[list[int], float]) -> dict:
-            indices, weight = payload
-            loss = task.loss([examples[i] for i in indices]) * weight
-            stats = {"loss": float(loss.data)}
-            loss.backward()
-            return stats
-
-        engine = DataParallelEngine(parameters, _shard_loss, config.parallel,
-                                    health=monitor)
-
+        first = list(range(min(config.batch_size, len(examples))))
+        sanitize_preflight(shard_loss, (first, 1.0), task)
     history: list[TrainRecord] = []
+    good_steps = 0
     try:
         for epoch in range(config.epochs):
-            for batch_indices in minibatch_indices(
-                    len(examples), config.batch_size, rng):
+            for batch in minibatch_indices(len(examples), config.batch_size,
+                                           rng):
                 started = clock()
-                optimizer.zero_grad()
-                if engine is None:
-                    loss = task.loss([examples[i] for i in batch_indices])
-                    loss.backward()
-                    loss_value = float(loss.data)
-                else:
-                    # Per-shard losses carry their n_shard/n_batch share
-                    # so the unweighted fixed-order reduce reproduces
-                    # the fused mean-over-batch objective.
-                    payloads = [
-                        (batch_indices[rows],
-                         len(batch_indices[rows]) / len(batch_indices))
-                        for rows in shard_slices(len(batch_indices),
-                                                 shard_size)]
-                    outcome = engine.step(payloads)
-                    engine.load_grads(outcome.grads)
-                    loss_value = sum(s["loss"] for s in outcome.stats)
-                grad_norm = clip_gradients(parameters, config.grad_clip)
-                extras = {"epoch": epoch, "batch_size": len(batch_indices)}
-                verdict = monitor.check(len(history), loss_value, grad_norm)
-                if verdict.ok:
-                    optimizer.step()
+                payloads = [(batch[rows], len(batch[rows]) / len(batch))
+                            for rows in shard_slices(len(batch), shard_size)]
+                record, _ = loop.step(
+                    len(history), payloads, shard_loss, restore=restore,
+                    extras=lambda totals: {"epoch": epoch,
+                                           "batch_size": len(batch)},
+                    started=started)
+                history.append(record)
+                if not record.extras.get("skipped"):
                     good_steps += 1
                     if good_steps % _SNAPSHOT_EVERY == 0:
-                        snapshot = _capture_snapshot(parameters, optimizer)
-                else:
-                    extras["skipped"] = 1.0
-                    optimizer.zero_grad()
-                    if verdict.rollback:
-                        if monitor.rollback_exhausted():
-                            raise TrainingDivergedError(
-                                f"fine-tuning diverged: {monitor.bad_steps} "
-                                f"bad steps and {monitor.rollbacks} rollbacks")
-                        _restore_snapshot(parameters, optimizer, snapshot)
-                        optimizer.lr *= monitor.config.lr_backoff
-                        monitor.reset_window()
-                record = TrainRecord(
-                    step=len(history), loss=loss_value, lr=optimizer.lr,
-                    grad_norm=grad_norm,
-                    wall_time=clock() - started,
-                    extras=extras,
-                )
-                history.append(record)
-                emit_train_record(record, source="finetune")
+                        snapshot = (task.state_dict(),
+                                    optimizer.state_dict())
     finally:
-        if engine is not None:
-            engine.close()
+        loop.close()
     task.eval()
     return history

@@ -187,7 +187,8 @@ class TestWorkerDescriptors:
                              clock=FixedClock())
         source = trainer._bind_source(stream_factory("wiki"))
         state = trainer.rng.bit_generator.state
-        masked = trainer._masked_batch(source.draw(trainer.rng, 4, 0))
+        masked = trainer._masked_batch(source.draw(trainer.rng, 4, 0),
+                                        trainer.rng)
         payload = _ShardPayload(_slice_masked(masked, slice(0, 1)), 0.5, 0.0)
         descriptor = _ShardDescriptor(0, state, (0, 1), 0.5, 0.0)
         assert (len(pickle.dumps(descriptor))

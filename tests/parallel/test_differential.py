@@ -86,7 +86,7 @@ class TestPretrainDifferential:
         trainer = Pretrainer(make_model("bert"), pretrain_config(2, steps=2),
                              clock=FixedClock())
         trainer.train(wiki_tables)
-        assert trainer._engine is None
+        assert trainer._loop._engine is None
 
     def test_checkpoint_config_stores_numeric_signature_only(
             self, make_model, wiki_tables, tmp_path):

@@ -334,3 +334,29 @@ class TestPretrainerGuards:
         with pytest.raises(ValueError, match="dropout"):
             Pretrainer(model, PretrainConfig(
                 parallel=ParallelConfig(workers=2)))
+
+
+class TestFinetuneGuards:
+    def test_dropout_rejected_under_parallelism(self, tokenizer, config,
+                                                coltype_examples):
+        from dataclasses import replace
+
+        from repro.core import create_model
+        from repro.tasks import ColumnTypePredictor, FinetuneConfig, \
+            build_label_set, finetune
+
+        model = create_model("bert", tokenizer,
+                             config=replace(config, dropout=0.1), seed=0)
+        task = ColumnTypePredictor(model, build_label_set(coltype_examples),
+                                   np.random.default_rng(0))
+        before = [p.data.copy() for p in task.parameters()]
+        with pytest.raises(ValueError, match="dropout"):
+            finetune(task, coltype_examples, FinetuneConfig(
+                epochs=1, batch_size=4, parallel=ParallelConfig(workers=1)))
+        assert all(np.array_equal(p.data, saved)
+                   for p, saved in zip(task.parameters(), before))
+        # The in-process path has no worker count to stay invariant to.
+        history = finetune(task, coltype_examples,
+                           FinetuneConfig(epochs=1, batch_size=4))
+        assert len(history) == 4
+        assert all(np.isfinite(record.loss) for record in history)

@@ -5,6 +5,7 @@ import pytest
 
 import repro.pretrain.trainer as trainer_module
 from repro.nn import CheckpointError
+from repro.parallel import FixedClock, ParallelConfig
 from repro.pretrain import Pretrainer, PretrainConfig, TrainerCheckpoint
 from repro.runtime import (
     HealthConfig,
@@ -220,6 +221,64 @@ class TestHealthGuard:
         assert not any(r.extras.get("skipped") for r in history)
         assert trainer.health.rollbacks == 1
         assert trainer.schedule.lr == pytest.approx(base_lr * 0.5)
+
+    @pytest.mark.parametrize(
+        "parallel", [None, ParallelConfig(workers=1, shard_size=4)],
+        ids=["serial", "workers1"])
+    @pytest.mark.parametrize(
+        "bad_calls, checkpoint_every, steps, rollbacks, lr", [
+            # Two rollbacks onto the initial snapshot back off its rate
+            # once each: the rate does not compound.
+            ({3, 4, 6, 7}, 0, 8, 2, 0.0015),
+            # The cadence re-captures the snapshot it rolled back onto,
+            # backed-off rate included, so the second rollback compounds.
+            ({5, 6, 8, 9}, 2, 8, 2, 0.00075),
+            # A rollback onto the initial snapshot of a run that also
+            # snapshots at a cadence (once crashed with IndexError).
+            ({2, 3}, 4, 6, 1, 0.0015),
+        ], ids=["initial", "cadence", "initial-with-cadence"])
+    def test_rollback_backs_off_the_restored_rate(
+            self, bert, wiki_tables, nan_injector, parallel, bad_calls,
+            checkpoint_every, steps, rollbacks, lr):
+        nan_injector["bad_calls"] = bad_calls
+        trainer = Pretrainer(bert, PretrainConfig(
+            steps=steps, batch_size=4, checkpoint_every=checkpoint_every,
+            health=HealthConfig(max_consecutive_bad=2, lr_backoff=0.5),
+            parallel=parallel))
+        history = trainer.train(wiki_tables)
+        assert len(history) == steps
+        assert not any(r.extras.get("skipped") for r in history)
+        assert trainer.health.rollbacks == rollbacks
+        assert trainer.schedule.lr == lr
+
+    @pytest.mark.parametrize(
+        "parallel", [None, ParallelConfig(workers=1, shard_size=4)],
+        ids=["serial", "workers1"])
+    def test_clock_is_read_twice_per_step(self, bert, wiki_tables,
+                                          nan_injector, parallel):
+        # benchmarks/perf/train.py turns consecutive clock reads into step
+        # times.  Covers good, skipped, rolled-back and snapshot steps
+        # after a sanitize preflight (which makes the first mlm_loss call).
+        nan_injector["bad_calls"] = {4, 5, 7, 8}
+        registry = MetricsRegistry()
+        sink = registry.add_sink(InMemorySink())
+        inner = FixedClock()
+        reads = []
+
+        def clock():
+            reads.append(inner())
+            return reads[-1]
+
+        trainer = Pretrainer(bert, PretrainConfig(
+            steps=6, batch_size=4, checkpoint_every=2,
+            health=HealthConfig(max_consecutive_bad=2), parallel=parallel),
+            clock=clock)
+        with using_registry(registry):
+            trainer.sanitize_check(wiki_tables)
+            trainer.train(wiki_tables)
+        attempted = len(sink.of_kind("train_step"))
+        assert trainer.health.rollbacks == 2 and attempted > 6
+        assert len(reads) == 2 * attempted
 
     def test_unrecoverable_divergence_raises(self, bert, wiki_tables,
                                              monkeypatch):

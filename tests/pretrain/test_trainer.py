@@ -1,12 +1,20 @@
 """Tests for the pretraining loop."""
 
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import create_model
+from repro.corpus import build_coltype_dataset
+from repro.nn.io import write_npz_atomic
 from repro.parallel import FixedClock, ParallelConfig
 from repro.pretrain import PretrainConfig, Pretrainer, masked_accuracy, IGNORE_INDEX
 from repro.nn import Tensor
+from repro.tasks import ColumnTypePredictor, FinetuneConfig, \
+    build_label_set, finetune
 
 
 class TestConfig:
@@ -63,6 +71,24 @@ class TestPretrainerMlm:
         Pretrainer(bert, PretrainConfig(steps=2, batch_size=2)).train(wiki_tables)
         assert not bert.training
 
+    @pytest.mark.parametrize("parallel", [None, ParallelConfig(workers=1)],
+                             ids=["serial", "workers1"])
+    def test_finished_trainer_is_freed_without_gc(self, bert, wiki_tables,
+                                                  parallel):
+        # Nothing the trainer owns may refer back to it once train()
+        # returns, or every finished trainer waits for the cycle collector.
+        gc.collect()
+        gc.disable()
+        try:
+            trainer = Pretrainer(bert, PretrainConfig(
+                steps=2, batch_size=2, parallel=parallel))
+            trainer.train(wiki_tables)
+            alive = weakref.ref(trainer)
+            del trainer
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_external_mlm_head_parameters_trained(self, bert, wiki_tables):
         trainer = Pretrainer(bert, PretrainConfig(steps=3, batch_size=2))
         before = trainer.mlm_head.transform.weight.data.copy()
@@ -100,22 +126,36 @@ class TestPretrainerTurl:
 class TestSanitizeCheck:
     @pytest.mark.parametrize("parallel", [None, ParallelConfig(workers=1)],
                              ids=["serial", "workers1"])
-    @pytest.mark.parametrize("name", ["bert", "turl"])
+    @pytest.mark.parametrize("name", ["bert", "turl", "coltype"])
     def test_preflight_leaves_checkpoint_bytes_unchanged(
             self, name, parallel, tokenizer, config, wiki_tables, tmp_path):
         # The preflight draws and masks one batch, then restores the
         # sampling RNG.  turl trains MLM+MER; workers=1 is the path
-        # `repro pretrain` takes.
+        # `repro pretrain` takes; coltype fine-tunes bert.
         archives = []
         for preflight in (False, True):
-            trainer = Pretrainer(
-                create_model(name, tokenizer, config=config, seed=0),
-                PretrainConfig(steps=8, batch_size=4, seed=0,
-                               parallel=parallel),
-                clock=FixedClock())
-            if preflight:
-                trainer.sanitize_check(wiki_tables)
-            trainer.train(wiki_tables)
-            path = trainer.save_checkpoint(tmp_path / f"run{int(preflight)}")
+            path = tmp_path / f"run{int(preflight)}.npz"
+            if name == "coltype":
+                examples = build_coltype_dataset(wiki_tables)[:16]
+                task = ColumnTypePredictor(
+                    create_model("bert", tokenizer, config=config, seed=0),
+                    build_label_set(examples), np.random.default_rng(0))
+                history = finetune(
+                    task, examples,
+                    FinetuneConfig(epochs=2, batch_size=4, parallel=parallel),
+                    sanitize=preflight, clock=FixedClock())
+                records = json.dumps([r.to_dict() for r in history])
+                write_npz_atomic(path, {**task.state_dict(),
+                                        "history": np.array(records)})
+            else:
+                trainer = Pretrainer(
+                    create_model(name, tokenizer, config=config, seed=0),
+                    PretrainConfig(steps=8, batch_size=4, seed=0,
+                                   parallel=parallel),
+                    clock=FixedClock())
+                if preflight:
+                    trainer.sanitize_check(wiki_tables)
+                trainer.train(wiki_tables)
+                trainer.save_checkpoint(path)
             archives.append(path.read_bytes())
         assert archives[0] == archives[1]
