@@ -69,10 +69,10 @@ class ClassificationHead(Module):
 
 
 class CellSelectionHead(Module):
-    """Per-token scores aggregated to per-cell selection logits.
+    """Per-token scores for cell selection.
 
-    TAPAS scores every token and averages within each cell span; the cell
-    with the highest score is the predicted answer cell.
+    TAPAS scores every token; the task averages them within each cell
+    span, and the cell with the highest score is the predicted answer.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator) -> None:
@@ -83,15 +83,3 @@ class CellSelectionHead(Module):
         """Raw per-token logits of shape ``(batch, seq)``."""
         batch, seq, _ = hidden.shape
         return self.scorer(hidden).reshape(batch, seq)
-
-    def cell_scores(self, hidden: Tensor,
-                    cell_spans: dict[tuple[int, int], tuple[int, int]],
-                    batch_index: int = 0) -> dict[tuple[int, int], Tensor]:
-        """Mean token score per cell, as differentiable scalars."""
-        scores = self.token_scores(hidden)
-        out: dict[tuple[int, int], Tensor] = {}
-        for coord, (start, end) in cell_spans.items():
-            if end <= start:
-                continue
-            out[coord] = scores[batch_index, start:end].mean()
-        return out

@@ -70,14 +70,6 @@ class Turl(TableEncoder):
             total = total + self.numeric_projection(Tensor(batch.numeric_features))
         return self.embedding_dropout(self.embedding_norm(total))
 
-    def mlm_logits(self, batch: BatchedFeatures) -> Tensor:
-        """Vocabulary logits at every position, ``(B, T, vocab)``."""
-        return self.mlm_head(self.forward(batch))
-
-    def mer_logits(self, batch: BatchedFeatures) -> Tensor:
-        """Entity logits at every position, ``(B, T, num_entities + 1)``."""
-        return self.mer_head(self.forward(batch))
-
     def pretraining_logits(self, batch: BatchedFeatures) -> tuple[Tensor, Tensor]:
         """One shared forward pass feeding both pretraining heads."""
         hidden = self.forward(batch)

@@ -467,13 +467,6 @@ class Tensor:
         return self._apply("cross_entropy", (self,),
                            {"targets": targets, "ignore_index": ignore_index})
 
-    def clip_norm(self, max_norm: float) -> "Tensor":
-        """Differentiably rescale so the Frobenius norm is at most ``max_norm``."""
-        norm = float(np.linalg.norm(self.data))
-        if norm <= max_norm or norm == 0.0:
-            return self
-        return self * (max_norm / norm)
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

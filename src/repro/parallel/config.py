@@ -44,12 +44,6 @@ class ParallelConfig:
         into.  Purely a scheduling/memory knob: all shard gradients
         still enter one fixed-order reduction tree, so ``accumulate``
         does not change a single bit of the combined gradient.
-    elastic:
-        Master switch for the worker supervisor.  ``True`` (default)
-        detects dead/hung workers, respawns them with backoff and
-        deterministically re-executes their lost shards; ``False``
-        turns any worker loss into an immediate
-        :class:`~repro.parallel.WorkerFailedError`.
     heartbeat_interval:
         Seconds between liveness frames a busy worker emits.  ``0``
         disables heartbeats (hang detection then rests on the step
@@ -72,15 +66,15 @@ class ParallelConfig:
         Optional deterministic :class:`~repro.parallel.faults.FaultPlan`
         executed inside the workers — the fault-injection harness.
 
-    Every supervisor knob is scheduling-only: none of them appears in
-    ``numeric_signature`` because a recovered (or degraded) run is
-    byte-identical to a healthy one.
+    The five supervisor knobs configure the engine's
+    :class:`~repro.parallel.WorkerPool`.  Each is scheduling-only: none
+    of them appears in ``numeric_signature`` because a recovered (or
+    degraded) run is byte-identical to a healthy one.
     """
 
     workers: int = 1
     shard_size: int = 0
     accumulate: int = 1
-    elastic: bool = True
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 10.0
     step_deadline: float = 120.0

@@ -1,8 +1,8 @@
 """The data-parallel step engine: shard → compute → fixed-order reduce.
 
-:class:`DataParallelEngine` owns scheduling, reduction **and worker
-supervision**; *what* a shard computes stays with the caller, passed in
-as ``compute(payload) -> stats``.  The contract:
+:class:`DataParallelEngine` owns scheduling, reduction **and the
+re-execution of lost shards**; *what* a shard computes stays with the
+caller, passed in as ``compute(payload) -> stats``.  The contract:
 
 - ``compute`` runs forward+backward for one shard payload against the
   live ``parameters`` and returns a JSON-able stats dict; the engine
@@ -18,19 +18,20 @@ as ``compute(payload) -> stats``.  The contract:
   :class:`~repro.parallel.workers.WorkerPool` lazily on the first step
   and syncs parameter arrays to it each step.
 
-**Elastic supervision** (``config.elastic``, default on).  Every
-dispatch carries a deadline; while replies are pending the supervisor
-watches each worker through three signals — process liveness, the
-heartbeat frames a busy worker emits, and the wall-clock deadline.  A
-worker that dies, goes silent past ``heartbeat_timeout`` or misses its
-``step_deadline`` is reaped (SIGKILL, pipe closed) and replaced by a
-fresh fork after exponential backoff, up to ``max_respawns`` per slot;
-past that the slot is retired and the pool *degrades* to fewer workers.
-Lost shards are deterministically re-executed — on the replacement, or
-in-process when no replacement is permitted — which preserves the
-bit-identity guarantee: a shard gradient is a pure function of the
-step-start parameter bytes and the shard payload, and the reduction
-tree orders by shard index, never by who computed it or when.
+**Elastic supervision.**  The pool is the supervisor
+(:meth:`~repro.parallel.workers.WorkerPool.failure` and
+:meth:`~repro.parallel.workers.WorkerPool.replace`, fed from this
+engine's config): while replies are pending it declares a worker failed
+when the process dies, goes silent past ``heartbeat_timeout`` or misses
+its ``step_deadline``, reaps it (SIGKILL, pipe closed) and replaces it
+with a fresh fork after exponential backoff, up to ``max_respawns`` per
+slot; past that the slot is retired and the pool *degrades* to fewer
+workers.  The engine deterministically re-executes the lost shards — on
+the replacement, or in-process when the slot was retired — which
+preserves the bit-identity guarantee: a shard gradient is a pure
+function of the step-start parameter bytes and the shard payload, and
+the reduction tree orders by shard index, never by who computed it or
+when.
 
 Telemetry lands in the process registry: ``parallel.shard_ms``/
 ``parallel.reduce_ms``/``parallel.imbalance`` as before, plus the
@@ -52,12 +53,12 @@ import numpy as np
 from .config import ParallelConfig
 from .plan import assign_round_robin, split_waves
 from .reduce import tree_reduce_grads
-from .workers import WorkerFailedError, WorkerPool
+from .workers import SUPERVISOR_COUNTERS, WorkerFailedError, WorkerPool
 from ..runtime import get_registry, telemetry_enabled
 
 __all__ = ["DataParallelEngine", "EngineStep"]
 
-#: How often the supervisor wakes to re-examine silent workers while
+#: How often the engine wakes to ask the pool about silent workers while
 #: waiting for replies (seconds).  Purely a polling granularity — it
 #: bounds detection latency, never correctness.
 _POLL_GRANULARITY = 0.05
@@ -86,7 +87,7 @@ class EngineStep:
 
 
 class DataParallelEngine:
-    """Schedules shard computations, supervises workers, reduces grads."""
+    """Schedules shard computations, recovers lost ones, reduces grads."""
 
     def __init__(self, parameters: Sequence,
                  compute: Callable[[Any], dict],
@@ -98,7 +99,6 @@ class DataParallelEngine:
         self.health = health
         self._pool: WorkerPool | None = None
         self._steps = 0
-        self._respawn_attempts: dict[int, int] = {}
 
     # -- shard execution ------------------------------------------------
     def _run_shard(self, payload: Any) -> tuple[dict[int, np.ndarray], dict]:
@@ -171,7 +171,7 @@ class DataParallelEngine:
                 for position, shard_ids in sorted(assignment.items()):
                     self._dispatch(live[position], step_index,
                                    [(i, payloads[i]) for i in shard_ids],
-                                   pending, synced, params, raw)
+                                   pending, synced, params)
                 raw.extend(self._collect(pending, step_index, synced,
                                          params))
 
@@ -200,130 +200,62 @@ class DataParallelEngine:
     # -- elastic supervision --------------------------------------------
     def _dispatch(self, slot: int, step: int, shards: list[tuple[int, Any]],
                   pending: dict[int, list[tuple[int, Any]]],
-                  synced: set[int], params: list[np.ndarray],
-                  results: list[_RawResult]) -> None:
-        """Send an assignment, rerouting through recovery on pipe failure."""
-        while True:
-            try:
-                self._pool.send(slot, step,
-                                None if slot in synced else params,
-                                shards,
-                                deadline=self.config.step_deadline)
-            except (BrokenPipeError, EOFError, OSError):
-                replacement = self._handle_loss(
-                    slot, step, "worker pipe closed at dispatch", synced)
-                if replacement is None:
-                    results.extend(self._run_inline(shards))
-                    return
-                slot = replacement
-                continue
-            synced.add(slot)
-            pending[slot] = shards
-            return
+                  synced: set[int], params: list[np.ndarray]) -> None:
+        """Send an assignment; the parameters ride on a slot's first one."""
+        self._pool.send(slot, step, None if slot in synced else params,
+                        shards)
+        synced.add(slot)
+        pending[slot] = shards
 
     def _collect(self, pending: dict[int, list[tuple[int, Any]]], step: int,
                  synced: set[int],
                  params: list[np.ndarray]) -> list[_RawResult]:
-        """Gather replies, detecting and recovering worker failures.
+        """Gather replies, re-executing the shards of failed workers.
 
-        Three detectors run per pending worker: pipe EOF / process exit
-        (*died*), silence past ``heartbeat_timeout`` (*wedged*), and the
-        dispatch deadline (*stuck or pathologically slow*).  Application
-        errors raised inside a shard are not recoverable — re-execution
-        is deterministic, so they would fail again — and surface as
+        The pool decides when a pending worker has failed and replaces
+        it; the lost shards go to the replacement, or run in-process
+        when the slot was retired.  Application errors raised inside a
+        shard are not recoverable — re-execution is deterministic, so
+        they would fail again — and surface as
         :class:`WorkerFailedError` attributed to the worker and step.
         """
         results: list[_RawResult] = []
-        config = self.config
+        pool = self._pool
         while pending:
             for slot in sorted(pending):
-                if slot not in pending:  # recovered away mid-iteration
-                    continue
-                status, payload = self._pool.poll(slot, timeout=0)
+                status, payload = pool.poll(slot)
                 if status == "ok":
                     results.extend(payload)
                     del pending[slot]
                     continue
                 if status == "error":
                     raise WorkerFailedError(slot, step, payload)
-                if status == "hb":
-                    continue
-                handle = self._pool.handle(slot)
-                now = time.monotonic()
-                reason = None
-                if status == "dead" or not handle.alive():
-                    reason = ("worker process died (exitcode="
-                              f"{handle.process.exitcode})")
-                elif (handle.deadline_at is not None
-                        and now > handle.deadline_at):
-                    reason = (f"step deadline ({config.step_deadline:g}s) "
-                              f"exceeded")
-                elif (config.heartbeat_interval > 0
-                        and now - handle.last_seen
-                        > config.heartbeat_timeout):
-                    reason = (f"no heartbeat for "
-                              f"{config.heartbeat_timeout:g}s")
+                reason = pool.failure(slot)
                 if reason is None:
                     continue
                 lost = pending.pop(slot)
-                replacement = self._handle_loss(slot, step, reason, synced)
-                if replacement is None:
-                    results.extend(self._run_inline(lost))
+                synced.discard(slot)
+                if pool.replace(slot, reason):
+                    self._dispatch(slot, step, lost, pending, synced, params)
                 else:
-                    self._dispatch(replacement, step, lost, pending,
-                                   synced, params, results)
+                    results.extend(self._run_inline(lost))
             if pending:
                 _mp_connection.wait(
-                    [self._pool.handle(slot).connection
-                     for slot in pending],
+                    [pool.handle(slot).connection for slot in pending],
                     timeout=_POLL_GRANULARITY)
         return results
 
-    def _handle_loss(self, slot: int, step: int, reason: str,
-                     synced: set[int]) -> int | None:
-        """Reap a failed worker; respawn it or retire the slot.
-
-        Returns the slot number to re-dispatch to (a fresh fork), or
-        ``None`` when the slot was retired — the caller then runs the
-        lost shards in-process.  Raises :class:`WorkerFailedError` when
-        supervision is disabled (``config.elastic=False``).
-        """
-        self._pool.reap(slot)
-        synced.discard(slot)
-        self._emit_supervisor("worker_death", step, slot, reason,
-                              counter="parallel.worker_deaths")
-        if not self.config.elastic:
-            raise WorkerFailedError(slot, step, reason)
-        attempts = self._respawn_attempts.get(slot, 0)
-        if attempts < self.config.max_respawns:
-            self._respawn_attempts[slot] = attempts + 1
-            backoff = self.config.respawn_backoff * (2 ** attempts)
-            if backoff > 0:
-                time.sleep(backoff)
-            self._pool.respawn(slot)
-            self._emit_supervisor(
-                "worker_respawn", step, slot,
-                f"respawn {attempts + 1}/{self.config.max_respawns} "
-                f"after {backoff:g}s backoff",
-                counter="parallel.respawns")
-            return slot
-        self._emit_supervisor(
-            "pool_degraded", step, slot,
-            f"slot retired after {attempts} respawns; "
-            f"{len(self._pool.live_slots())} workers remain",
-            counter="parallel.degraded")
-        return None
-
-    def _emit_supervisor(self, action: str, step: int, slot: int,
-                         reason: str, counter: str) -> None:
+    def _on_pool_event(self, action: str, slot: int, reason: str) -> None:
+        """Record a supervisor action of the pool against the current step."""
+        step = self._steps - 1
         if telemetry_enabled():
             registry = get_registry()
-            registry.counter(counter).inc()
+            registry.counter(f"parallel.{SUPERVISOR_COUNTERS[action]}").inc()
             registry.emit({
                 "kind": "supervisor",
                 "action": action,
-                "step": int(step),
-                "worker": int(slot),
+                "step": step,
+                "worker": slot,
                 "reason": reason,
             })
         if self.health is not None:
@@ -341,10 +273,16 @@ class DataParallelEngine:
     # -- lifecycle ------------------------------------------------------
     def _ensure_pool(self) -> WorkerPool:
         if self._pool is None:
+            config = self.config
             self._pool = WorkerPool(
-                self.config.workers, self._run_shard, self._sync,
-                heartbeat_interval=self.config.heartbeat_interval,
-                fault_plan=self.config.faults)
+                config.workers, self._run_shard, self._sync,
+                heartbeat_interval=config.heartbeat_interval,
+                heartbeat_timeout=config.heartbeat_timeout,
+                dispatch_deadline=config.step_deadline,
+                max_respawns=config.max_respawns,
+                respawn_backoff=config.respawn_backoff,
+                on_event=self._on_pool_event,
+                fault_plan=config.faults)
         return self._pool
 
     def close(self) -> None:

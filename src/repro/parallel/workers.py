@@ -25,12 +25,16 @@ thread sends ``("hb",)`` frames every ``heartbeat_interval`` seconds
 failure matrix in DESIGN.md "Elastic data-parallel training".
 
 The pool manages **worker slots**: each slot holds one live process at a
-time, and :meth:`WorkerPool.respawn` replaces a reaped slot with a fresh
-fork carrying an incremented ``generation`` (fault-injection plans key
-on it so a staged death never re-fires on the replacement).  Failure
-*policy* — deadlines, respawn backoff, degradation, shard re-execution —
-lives in :class:`~repro.parallel.engine.DataParallelEngine`; this module
-only provides the mechanism.
+time.  It is also the one supervisor of those slots for both of its
+owners, :class:`~repro.parallel.engine.DataParallelEngine` and
+:class:`~repro.serve.frontend.ReplicatedFrontend`.
+:meth:`WorkerPool.failure` decides whether a slot has failed, and
+:meth:`WorkerPool.replace` reaps it and either respawns it after
+exponential backoff — a fresh fork carrying an incremented
+``generation`` (fault-injection plans key on it so a staged death never
+re-fires on the replacement) — or retires it once its respawn budget is
+spent.  What happens to the lost work stays with the owner: the engine
+re-executes shards, the front-end requeues requests.
 
 Determinism note: nothing here orders the gradient sum.  Workers may
 finish in any order; the parent hands everything to
@@ -50,12 +54,19 @@ import numpy as np
 
 from .faults import FaultPlan, execute_fault
 
-__all__ = ["WorkerError", "WorkerFailedError", "WorkerPool", "WorkerHandle"]
+__all__ = ["WorkerError", "WorkerFailedError", "WorkerPool", "WorkerHandle",
+           "SUPERVISOR_COUNTERS"]
 
 #: Grace given to a worker to exit after a ``stop``/SIGTERM before the
 #: next escalation level (seconds).
 _JOIN_GRACE = 5.0
 _TERM_GRACE = 1.0
+
+#: The counter each owner records a supervisor action under, after its
+#: own prefix (``parallel.respawns``, ``serve.frontend.respawns``, ...).
+SUPERVISOR_COUNTERS = {"worker_death": "worker_deaths",
+                       "worker_respawn": "respawns",
+                       "pool_degraded": "degraded"}
 
 
 class WorkerError(RuntimeError):
@@ -65,10 +76,11 @@ class WorkerError(RuntimeError):
 class WorkerFailedError(WorkerError):
     """A specific worker failed at a specific step.
 
-    Raised when the supervisor cannot (or is configured not to) recover
-    a worker loss, and for shard computes that raised remotely — the
-    failure is attributed to ``worker`` and ``step`` so operators see
-    *which* process died *when* instead of a raw pipe traceback.
+    Raised for shard computes that raised remotely — re-execution is
+    deterministic, so it would fail again — and for transport failures
+    the supervisor cannot attribute.  The failure names ``worker`` and
+    ``step`` so operators see *which* process failed *when* instead of a
+    raw pipe traceback.
     """
 
     def __init__(self, worker: int, step: int, reason: str) -> None:
@@ -160,14 +172,14 @@ def _worker_main(connection, inherited: list, slot: int, generation: int,
 class WorkerHandle:
     """One live worker incarnation bound to a slot.
 
-    Tracks the liveness bookkeeping the supervisor reads: when the pipe
-    last produced any frame (``last_seen``) and the wall-clock deadline
-    of the in-flight dispatch (``deadline_at``, ``None`` when idle or
-    deadlines are disabled).
+    Tracks the liveness bookkeeping :meth:`WorkerPool.failure` reads:
+    when the pipe last produced any frame (``last_seen``), when the
+    in-flight dispatch was sent (``sent_at``, ``None`` while idle) and
+    whether the pipe was found closed (``closed``).
     """
 
     __slots__ = ("slot", "generation", "process", "connection",
-                 "last_seen", "deadline_at")
+                 "last_seen", "sent_at", "closed")
 
     def __init__(self, slot: int, generation: int, process,
                  connection) -> None:
@@ -176,19 +188,35 @@ class WorkerHandle:
         self.process = process
         self.connection = connection
         self.last_seen = time.monotonic()
-        self.deadline_at: float | None = None
+        self.sent_at: float | None = None
+        self.closed = False
 
-    def alive(self) -> bool:
-        return self.process.is_alive()
+
+def _ignore_event(action: str, slot: int, reason: str) -> None:
+    """The supervisor callback of a pool whose owner records nothing."""
 
 
 class WorkerPool:
-    """N persistent forked worker slots, one duplex pipe each, lazy start."""
+    """N persistent forked worker slots, one duplex pipe each, lazy start.
+
+    The pool supervises its slots.  The owner asks :meth:`failure` about
+    a slot on each of its passes and hands a failed one to
+    :meth:`replace`; ``on_event(action, slot, reason)`` hears every
+    ``worker_death``, ``worker_respawn`` and ``pool_degraded``.
+    ``dispatch_deadline=0`` disables the per-dispatch wall bound and
+    ``heartbeat_interval=0`` disables heartbeats (and with them the
+    silence detector).
+    """
 
     def __init__(self, workers: int,
                  run_shard: Callable[[Any], tuple[dict, dict]],
                  sync: Callable[[list[np.ndarray]], None], *,
                  heartbeat_interval: float = 0.5,
+                 heartbeat_timeout: float = 10.0,
+                 dispatch_deadline: float = 0.0,
+                 max_respawns: int = 2,
+                 respawn_backoff: float = 0.05,
+                 on_event: Callable[[str, int, str], None] = _ignore_event,
                  fault_plan: FaultPlan | None = None,
                  stop_grace: float = _JOIN_GRACE,
                  term_grace: float = _TERM_GRACE) -> None:
@@ -198,18 +226,20 @@ class WorkerPool:
         self._run_shard = run_shard
         self._sync = sync
         self._heartbeat_interval = heartbeat_interval
+        self._heartbeat_timeout = heartbeat_timeout
+        self._dispatch_deadline = dispatch_deadline
+        self._max_respawns = max_respawns
+        self._respawn_backoff = respawn_backoff
+        self._on_event = on_event
         self._fault_plan = fault_plan
         self._stop_grace = stop_grace
         self._term_grace = term_grace
         self._handles: dict[int, WorkerHandle] = {}
         self._generations: dict[int, int] = {}
+        self._respawns: dict[int, int] = {}
         self._started = False
 
     # -- membership -----------------------------------------------------
-    @property
-    def started(self) -> bool:
-        return self._started
-
     def live_slots(self) -> list[int]:
         """Slots that currently hold a process, in slot order."""
         return sorted(self._handles)
@@ -258,15 +288,11 @@ class WorkerPool:
         self._handles[slot] = handle
         return handle
 
-    def respawn(self, slot: int) -> WorkerHandle:
-        """Replace a reaped slot with a fresh fork (next generation)."""
-        return self.spawn(slot)
-
     def reap(self, slot: int) -> None:
         """Forcibly remove a slot's process: SIGKILL, join, close pipe.
 
-        SIGKILL (not SIGTERM) because the slot is only reaped once the
-        supervisor has declared it dead or wedged — a process that
+        SIGKILL (not SIGTERM) because the slot is only reaped once
+        :meth:`failure` has declared it dead or wedged — a process that
         missed its deadline cannot be trusted to honor a signal handler,
         and a half-written reply must never be read.
         """
@@ -301,30 +327,86 @@ class WorkerPool:
         self._handles = {}
         self._started = False
 
+    # -- supervision ----------------------------------------------------
+    def failure(self, slot: int) -> str | None:
+        """Why ``slot`` has failed, or ``None`` while it is healthy.
+
+        Any slot fails when its process has died or its pipe has
+        closed.  A slot with work in flight also fails past the dispatch
+        deadline (stuck, or pathologically slow while still beating) or
+        after ``heartbeat_timeout`` with no frame (wedged).  An idle
+        slot never fails on silence: idle workers send no heartbeats.
+        """
+        handle = self._handles[slot]
+        if not handle.process.is_alive():
+            return ("worker process died "
+                    f"(exitcode={handle.process.exitcode})")
+        if handle.closed:
+            return "worker pipe closed"
+        if handle.sent_at is None:
+            return None
+        now = time.monotonic()
+        if (self._dispatch_deadline > 0
+                and now - handle.sent_at > self._dispatch_deadline):
+            return f"dispatch deadline ({self._dispatch_deadline:g}s) exceeded"
+        if (self._heartbeat_interval > 0
+                and now - handle.last_seen > self._heartbeat_timeout):
+            return f"no heartbeat for {self._heartbeat_timeout:g}s"
+        return None
+
+    def replace(self, slot: int, reason: str) -> bool:
+        """Reap a failed slot, then respawn it or retire it.
+
+        The slot is reaped first (SIGKILL, pipe closed).  Its ``k``-th
+        respawn forks the next generation after
+        ``respawn_backoff * 2**k`` seconds and returns ``True``; past
+        ``max_respawns`` the slot is retired, the pool degrades to fewer
+        workers, and the result is ``False``.  The owner decides what
+        happens to the slot's lost work.
+        """
+        self.reap(slot)
+        self._on_event("worker_death", slot, reason)
+        attempts = self._respawns.get(slot, 0)
+        if attempts >= self._max_respawns:
+            self._on_event("pool_degraded", slot,
+                           f"slot retired after {attempts} respawns; "
+                           f"{len(self._handles)} workers remain")
+            return False
+        self._respawns[slot] = attempts + 1
+        backoff = self._respawn_backoff * 2 ** attempts
+        if backoff > 0:
+            time.sleep(backoff)
+        self.spawn(slot)
+        self._on_event("worker_respawn", slot,
+                       f"respawn {attempts + 1}/{self._max_respawns} "
+                       f"after {backoff:g}s backoff")
+        return True
+
     # -- transport ------------------------------------------------------
     def send(self, slot: int, step: int, params: list[np.ndarray] | None,
-             assigned: list[tuple[int, Any]],
-             deadline: float = 0.0) -> None:
+             assigned: list[tuple[int, Any]]) -> None:
         """Dispatch one wave's shards (plus optional parameter sync).
 
-        Transport failures (the worker died between steps) surface as
-        the underlying ``BrokenPipeError``/``OSError`` so the supervisor
-        can reroute the shards; they are never swallowed here.
+        A closed pipe (the worker died since its last reply) is not
+        raised here: the slot is marked, and :meth:`failure` reports it
+        on the owner's next pass like any other loss.
         """
         self.start()
         handle = self._handles[slot]
-        handle.connection.send(("step", step, params, assigned))
-        now = time.monotonic()
-        handle.last_seen = now
-        handle.deadline_at = now + deadline if deadline > 0 else None
+        try:
+            handle.connection.send(("step", step, params, assigned))
+        except OSError:
+            handle.closed = True
+        handle.last_seen = handle.sent_at = time.monotonic()
 
     def poll(self, slot: int, timeout: float = 0.0):
         """Receive the next frame from a slot within ``timeout``.
 
         Returns one of ``("ok", results)``, ``("error", text)``,
-        ``("hb", None)``, ``("dead", None)`` (pipe closed / process
-        gone) or ``(None, None)`` when nothing arrived in time.  Any
-        received frame refreshes the handle's ``last_seen``.
+        ``("hb", None)`` or ``(None, None)`` when nothing arrived in
+        time.  Any received frame refreshes the handle's ``last_seen``;
+        a closed pipe, or a frame outside the protocol, marks the slot
+        for :meth:`failure` to report.
         """
         handle = self._handles[slot]
         try:
@@ -332,48 +414,13 @@ class WorkerPool:
                 return (None, None)
             frame = handle.connection.recv()
         except (EOFError, OSError):
-            return ("dead", None)
+            handle.closed = True
+            return (None, None)
         handle.last_seen = time.monotonic()
         if frame[0] == "hb":
             return ("hb", None)
-        if frame[0] == "ok":
-            handle.deadline_at = None
-            return ("ok", frame[1])
-        if frame[0] == "error":
-            handle.deadline_at = None
-            return ("error", frame[1])
-        return ("dead", None)  # unknown frame: treat the peer as broken
-
-    def collect(self, slots: list[int],
-                step: int = 0) -> list[tuple[int, dict, dict, float]]:
-        """Gather one reply from each slot; raises on any shard failure.
-
-        This is the *non-elastic* collection path (no deadlines, no
-        respawn): a dead worker raises :class:`WorkerFailedError`
-        attributed to its slot and step.  The supervisor in
-        :class:`~repro.parallel.engine.DataParallelEngine` implements
-        the fault-tolerant path on top of :meth:`poll`.
-        """
-        results: list[tuple[int, dict, dict, float]] = []
-        for slot in slots:
-            while True:
-                status, payload = self.poll(slot, timeout=None)
-                if status == "hb":
-                    continue
-                if status == "ok":
-                    results.extend(payload)
-                    break
-                if status == "error":
-                    raise WorkerFailedError(slot, step, payload)
-                exitcode = self._handles[slot].process.exitcode
-                raise WorkerFailedError(
-                    slot, step,
-                    f"died without replying (exitcode={exitcode})")
-        return results
-
-    def __enter__(self) -> "WorkerPool":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        if frame[0] in ("ok", "error"):
+            handle.sent_at = None
+            return (frame[0], frame[1])
+        handle.closed = True  # unknown frame: treat the peer as broken
+        return (None, None)

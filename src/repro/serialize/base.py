@@ -74,11 +74,6 @@ class SerializedTable:
         """How many distinct data rows survived serialization."""
         return len({row for row, _ in self.cell_spans})
 
-    def cell_token_indices(self, row: int, column: int) -> range:
-        """Token positions belonging to data cell ``(row, column)``."""
-        start, end = self.cell_spans[(row, column)]
-        return range(start, end)
-
     def text(self) -> str:
         """Human-readable view of the serialized sequence."""
         return " ".join(self.tokens)

@@ -3,9 +3,10 @@
 ``repro serve`` outgrew its single synchronous process here.  The
 front-end owns the *request lifecycle* — admit → enqueue → dispatch →
 complete, with deadline and shed exits at every stage — while the model
-forwards run on N **replica workers**: persistent forked processes
-reusing :class:`~repro.parallel.workers.WorkerPool`'s request/response
-pipe protocol, heartbeats, SIGKILL reaping and backoff respawn.  Each
+forwards run on N **replica workers**: persistent forked processes on a
+:class:`~repro.parallel.workers.WorkerPool`, which supervises them the
+way it supervises data-parallel training workers (request/response
+pipes, heartbeats, SIGKILL reaping and backoff respawn).  Each
 replica inherits the parent's :class:`~repro.serve.engine.InferenceEngine`
 by fork (no model pickling) and answers whole waves of decoded requests.
 
@@ -27,10 +28,11 @@ The lifecycle stages and their exits:
   hint, never a correctness requirement, because predictions are
   byte-identical on every replica (see ``repro.serve.engine``'s
   determinism contract).
-- **complete / recover** — replies resolve tickets; a replica that
-  dies, goes silent past ``heartbeat_timeout`` or blows the dispatch
-  deadline is reaped and respawned (exponential backoff, bounded per
-  slot), its wave re-enqueued at the front; past the respawn budget the
+- **complete / recover** — replies resolve tickets.  Every dispatcher
+  pass asks the pool about every live replica, busy or idle; a replica
+  that dies, or goes silent past the heartbeat timeout while it holds a
+  wave, is reaped and respawned (exponential backoff, bounded per slot)
+  and its wave re-enqueued at the front; past the respawn budget the
   slot retires and the pool *degrades*.  With no replicas left, waves
   run inline in the parent — same canonical numerics, same bytes.
 
@@ -52,7 +54,7 @@ from typing import Any, Callable
 
 from .engine import InferenceEngine
 from .requests import affinity_key, json_safe_label
-from ..parallel.workers import WorkerPool
+from ..parallel.workers import SUPERVISOR_COUNTERS, WorkerPool
 from ..runtime import MetricsRegistry, get_registry, set_registry
 
 __all__ = ["FrontendConfig", "ServeTicket", "AdmissionQueue",
@@ -72,21 +74,17 @@ class FrontendConfig:
 
     ``replicas=0`` serves in-process (no forks) behind the same
     admission queue and deadline machinery; ``replicas=N`` forks N
-    persistent replica workers.  ``deadline_seconds=0`` disables
-    per-request deadlines; ``dispatch_deadline=0`` disables the
-    per-wave wall bound (heartbeat silence still catches wedged
-    replicas).
+    persistent replica workers, supervised with the
+    :class:`~repro.parallel.workers.WorkerPool` defaults and
+    ``max_respawns`` replacements per slot.  ``deadline_seconds=0``
+    disables per-request deadlines.
     """
 
     replicas: int = 0
     max_queue: int = 64
     deadline_seconds: float = 0.0
     max_batch: int = 8
-    heartbeat_interval: float = 0.25
-    heartbeat_timeout: float = 10.0
-    dispatch_deadline: float = 0.0
     max_respawns: int = 2
-    respawn_backoff: float = 0.05
 
     def __post_init__(self) -> None:
         if self.replicas < 0:
@@ -304,9 +302,9 @@ class ReplicatedFrontend:  # thread-shared
         self._pool: WorkerPool | None = None
         if self.config.replicas > 0:
             self._pool = WorkerPool(
-                self.config.replicas, self._serve_shard,
-                self._sync_noop,
-                heartbeat_interval=self.config.heartbeat_interval)
+                self.config.replicas, self._serve_shard, self._sync_noop,
+                max_respawns=self.config.max_respawns,
+                on_event=self._on_pool_event)
         self._parent_pid = os.getpid()
         self._ids_lock = threading.Lock()
         self._next_id = 0  # guarded-by: _ids_lock
@@ -315,10 +313,9 @@ class ReplicatedFrontend:  # thread-shared
         # pool calls all happen *outside* these locks — a wedged
         # replica must never wedge healthz or admission bookkeeping.
         self._state_lock = threading.Lock()
-        self._inflight: dict[int, tuple[int, list[ServeTicket], float]] = {}  # guarded-by: _state_lock
+        self._inflight: dict[int, list[ServeTicket]] = {}  # guarded-by: _state_lock
         self._wave_ids = 0  # guarded-by: _state_lock
         self._replica_cache: dict[int, dict[str, int]] = {}  # guarded-by: _state_lock
-        self._respawn_attempts: dict[int, int] = {}
         self._lifecycle_lock = threading.Lock()
         self._dispatcher: threading.Thread | None = None  # guarded-by: _lifecycle_lock
         self._stopping = threading.Event()
@@ -357,7 +354,7 @@ class ReplicatedFrontend:  # thread-shared
         with self._state_lock:
             pending = list(self._inflight.values())
             self._inflight.clear()
-        for _, tickets, _ in pending:
+        for tickets in pending:
             for ticket in tickets:
                 ticket.fail("shutdown", "server shutting down", True)
         for ticket in self.queue.pop_any(self.config.max_queue):
@@ -614,17 +611,12 @@ class ReplicatedFrontend:  # thread-shared
             wave_id = self._wave_ids
             self._wave_ids += 1
         registry = get_registry()
-        try:
-            # Pipe send stays outside _state_lock; only the dispatcher
-            # sends, so registering the wave after the send is safe.
-            self._pool.send(slot, wave_id, None, [(wave_id, payload)],
-                            deadline=self.config.dispatch_deadline)
-        except (BrokenPipeError, EOFError, OSError):
-            self._handle_loss(slot, "replica pipe closed at dispatch")
-            self.queue.requeue(batch)
-            return
+        # Pipe send stays outside _state_lock; only the dispatcher sends,
+        # so registering the wave after the send is safe.  A closed pipe
+        # shows up as the slot's failure on the next supervision pass.
+        self._pool.send(slot, wave_id, None, [(wave_id, payload)])
         with self._state_lock:
-            self._inflight[slot] = (wave_id, batch, time.monotonic())
+            self._inflight[slot] = batch
         registry.counter(f"{_METRICS_PREFIX}.dispatches").inc()
         registry.histogram(f"{_METRICS_PREFIX}.wave_size").observe(len(batch))
 
@@ -649,61 +641,37 @@ class ReplicatedFrontend:  # thread-shared
         for slot in slots:
             if slot not in self._pool.live_slots():
                 continue
-            while True:
-                status, payload = self._pool.poll(slot, timeout=0)
-                if status == "hb":
-                    continue
-                if status == "ok":
-                    with self._state_lock:
-                        wave_id, batch, _sent = self._inflight.pop(slot)
-                    for shard_index, result, _stats, _secs in payload:
-                        self._complete_wave(batch, result, replica=slot)
-                    break
-                if status == "error":
-                    # run_shard catches per request; this frame means the
-                    # replica loop itself blew up — deterministic, so
-                    # re-execution would fail again.  Fail the wave.
-                    with self._state_lock:
-                        _wave_id, batch, _sent = self._inflight.pop(slot)
-                    for ticket in batch:
-                        ticket.fail("internal",
-                                    f"replica {slot} failed: {payload}",
-                                    False)
-                    break
-                if status == "dead":
-                    self._recover_slot(slot, "replica process died")
-                    break
-                break  # (None, None): nothing more buffered
+            status, payload = self._pool.poll(slot)
+            while status == "hb":
+                status, payload = self._pool.poll(slot)
+            if status == "ok":
+                with self._state_lock:
+                    batch = self._inflight.pop(slot)
+                for shard_index, result, _stats, _secs in payload:
+                    self._complete_wave(batch, result, replica=slot)
+            elif status == "error":
+                # run_shard catches per request; this frame means the
+                # replica loop itself blew up — deterministic, so
+                # re-execution would fail again.  Fail the wave.
+                with self._state_lock:
+                    batch = self._inflight.pop(slot)
+                for ticket in batch:
+                    ticket.fail("internal",
+                                f"replica {slot} failed: {payload}", False)
 
     def _supervise(self) -> None:
-        """Death / heartbeat-silence / dispatch-deadline detection."""
-        config = self.config
-        now = time.monotonic()
-        with self._state_lock:
-            slots = list(self._inflight)
-        for slot in slots:
-            if slot not in self._pool.live_slots():
-                continue
-            handle = self._pool.handle(slot)
-            reason = None
-            if not handle.alive():
-                reason = (f"replica process died (exitcode="
-                          f"{handle.process.exitcode})")
-            elif handle.deadline_at is not None and now > handle.deadline_at:
-                reason = (f"dispatch deadline ({config.dispatch_deadline:g}s)"
-                          " exceeded")
-            elif (config.heartbeat_interval > 0
-                    and now - handle.last_seen > config.heartbeat_timeout):
-                reason = f"no heartbeat for {config.heartbeat_timeout:g}s"
+        """Ask the pool about every live replica, busy or idle."""
+        for slot in self._pool.live_slots():
+            reason = self._pool.failure(slot)
             if reason is not None:
                 self._recover_slot(slot, reason)
 
     def _recover_slot(self, slot: int, reason: str) -> None:
-        """Reap a failed replica, requeue its wave, respawn or degrade."""
+        """Replace a failed replica, then requeue or deadline-fail its wave."""
         with self._state_lock:
-            _wave_id, batch, _sent = self._inflight.pop(
-                slot, (None, [], 0.0))
-        self._handle_loss(slot, reason)
+            batch = self._inflight.pop(slot, [])
+            self._replica_cache.pop(slot, None)
+        self._pool.replace(slot, reason)
         now = self.clock()
         expired = [t for t in batch if t.expired(now)]
         self._fail_expired(expired, "recovering")
@@ -713,33 +681,13 @@ class ReplicatedFrontend:  # thread-shared
                 f"{_METRICS_PREFIX}.redispatched").inc(len(survivors))
             self.queue.requeue(survivors)
 
-    def _handle_loss(self, slot: int, reason: str) -> None:
+    def _on_pool_event(self, action: str, slot: int, reason: str) -> None:
+        """Record a supervisor action of the replica pool."""
         registry = get_registry()
-        self._pool.reap(slot)
-        with self._state_lock:
-            self._replica_cache.pop(slot, None)
-        registry.counter(f"{_METRICS_PREFIX}.worker_deaths").inc()
-        registry.emit({"kind": "frontend", "action": "worker_death",
+        registry.counter(
+            f"{_METRICS_PREFIX}.{SUPERVISOR_COUNTERS[action]}").inc()
+        registry.emit({"kind": "frontend", "action": action,
                        "worker": slot, "reason": reason})
-        attempts = self._respawn_attempts.get(slot, 0)
-        if attempts < self.config.max_respawns:
-            self._respawn_attempts[slot] = attempts + 1
-            backoff = self.config.respawn_backoff * (2 ** attempts)
-            if backoff > 0:
-                time.sleep(backoff)
-            self._pool.respawn(slot)
-            registry.counter(f"{_METRICS_PREFIX}.respawns").inc()
-            registry.emit({"kind": "frontend", "action": "worker_respawn",
-                           "worker": slot,
-                           "reason": f"respawn {attempts + 1}/"
-                                     f"{self.config.max_respawns} after "
-                                     f"{backoff:g}s backoff"})
-            return
-        registry.counter(f"{_METRICS_PREFIX}.degraded").inc()
-        registry.emit({"kind": "frontend", "action": "pool_degraded",
-                       "worker": slot,
-                       "reason": f"slot retired after {attempts} respawns; "
-                                 f"{len(self._pool.live_slots())} remain"})
 
     def _complete_wave(self, batch: list[ServeTicket], result: dict,
                        replica: int) -> None:

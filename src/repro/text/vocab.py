@@ -81,18 +81,6 @@ class Vocab:
         return self._token_to_id[MASK]
 
     @property
-    def row_id(self) -> int:
-        return self._token_to_id[ROW]
-
-    @property
-    def header_id(self) -> int:
-        return self._token_to_id[HEADER]
-
-    @property
-    def empty_id(self) -> int:
-        return self._token_to_id[EMPTY]
-
-    @property
     def bos_id(self) -> int:
         return self._token_to_id[BOS]
 

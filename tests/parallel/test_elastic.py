@@ -20,7 +20,6 @@ from repro.parallel import (
     FaultSpec,
     FixedClock,
     ParallelConfig,
-    WorkerFailedError,
     parse_fault_plan,
 )
 from repro.pretrain import Pretrainer, PretrainConfig
@@ -173,15 +172,6 @@ class TestEngineRecovery:
             self.assert_bits_equal(engine.step(self.payloads))
             assert engine._pool.live_slots() == []
             self.assert_bits_equal(engine.step(self.payloads))
-
-    def test_non_elastic_surfaces_typed_error(self):
-        plan = FaultPlan((FaultSpec("die", step=0, worker=1),))
-        with toy_engine(4, faults=plan, elastic=False) as engine:
-            with pytest.raises(WorkerFailedError) as info:
-                engine.step(self.payloads)
-        assert info.value.worker == 1
-        assert info.value.step == 0
-        assert "worker 1" in str(info.value)
 
     def test_worker_events_reach_health_monitor(self):
         registry = MetricsRegistry()

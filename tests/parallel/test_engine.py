@@ -42,6 +42,29 @@ os.kill(os.getpid(), signal.SIGKILL)
 """
 
 
+def _reply(pool: WorkerPool, slot: int) -> list:
+    """A slot's results, read through ``poll`` as the pool's owners do."""
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        status, payload = pool.poll(slot, timeout=0.1)
+        if status == "ok":
+            return payload
+        assert status in (None, "hb"), payload
+        assert pool.failure(slot) is None
+    raise AssertionError(f"slot {slot} never replied")
+
+
+def _failure_within(pool: WorkerPool, slot: int, seconds: float = 5.0):
+    """Poll a slot (draining heartbeats) until the pool declares it failed."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        pool.poll(slot, timeout=0.02)
+        reason = pool.failure(slot)
+        if reason is not None:
+            return reason
+    return None
+
+
 def _exited(pid: int) -> bool:
     """Gone, or a zombie nobody has reaped yet: either way not running."""
     try:
@@ -234,7 +257,7 @@ class TestWorkerPool:
         pool = WorkerPool(1, compute, sync)
         try:
             pool.send(0, 0, [np.full(3, 7.0)], [(0, None)])
-            [(index, grads, stats, _)] = pool.collect([0])
+            [(index, grads, stats, _)] = _reply(pool, 0)
             assert index == 0
             assert np.array_equal(stats["seen"], np.full(3, 7.0))
         finally:
@@ -250,7 +273,7 @@ class TestWorkerPool:
             pids = set()
             for step in range(3):
                 pool.send(0, step, None, [(0, None)])
-                [(_, _, stats, _)] = pool.collect([0])
+                [(_, _, stats, _)] = _reply(pool, 0)
                 pids.add(stats["pid"])
             assert len(pids) == 1, "worker re-forked between steps"
         finally:
@@ -313,12 +336,85 @@ class TestWorkerPool:
             assert pool.handle(0).generation == 0
             pool.reap(0)
             assert pool.live_slots() == []
-            handle = pool.respawn(0)
+            handle = pool.spawn(0)
             assert handle.generation == 1
             pool.send(0, 0, None, [(0, None)])
-            assert pool.collect([0])[0][0] == 0
+            assert _reply(pool, 0)[0][0] == 0
         finally:
             pool.close()
+
+    # -- the supervisor, with fast settings ------------------------------
+    def test_idle_slot_never_fails_on_silence(self):
+        pool = WorkerPool(1, lambda payload: ({}, {}), lambda arrays: None,
+                          heartbeat_interval=0.05, heartbeat_timeout=0.2)
+        try:
+            pool.send(0, 0, None, [(0, None)])
+            _reply(pool, 0)
+            time.sleep(0.5)  # idle workers send no heartbeats
+            assert pool.failure(0) is None
+        finally:
+            pool.close()
+
+    def test_killed_slot_fails_as_died(self):
+        pool = WorkerPool(1, lambda payload: ({}, {}), lambda arrays: None)
+        try:
+            pool.start()
+            assert pool.failure(0) is None
+            pool.handle(0).process.kill()
+            pool.handle(0).process.join(timeout=10)
+            assert pool.failure(0) == "worker process died (exitcode=-9)"
+        finally:
+            pool.close()
+
+    def test_busy_silent_slot_fails_on_heartbeat_timeout(self):
+        def wedged(payload):
+            time.sleep(60)
+            return {}, {}
+
+        pool = WorkerPool(1, wedged, lambda arrays: None,
+                          heartbeat_interval=60.0, heartbeat_timeout=0.3)
+        try:
+            pool.send(0, 0, None, [(0, None)])
+            assert pool.failure(0) is None
+            assert _failure_within(pool, 0) == "no heartbeat for 0.3s"
+        finally:
+            pool.reap(0)
+            pool.close()
+
+    def test_busy_beating_slot_fails_past_dispatch_deadline(self):
+        def stuck(payload):
+            time.sleep(60)
+            return {}, {}
+
+        pool = WorkerPool(1, stuck, lambda arrays: None,
+                          heartbeat_interval=0.05, dispatch_deadline=0.2)
+        try:
+            pool.send(0, 0, None, [(0, None)])
+            reason = _failure_within(pool, 0)
+            assert reason == "dispatch deadline (0.2s) exceeded"
+        finally:
+            pool.reap(0)
+            pool.close()
+
+    def test_replace_respawns_then_retires(self):
+        events = []
+        pool = WorkerPool(1, lambda payload: ({}, {}), lambda arrays: None,
+                          max_respawns=1, respawn_backoff=0.01,
+                          on_event=lambda *event: events.append(event))
+        try:
+            pool.start()
+            assert pool.replace(0, "first loss") is True
+            assert pool.handle(0).generation == 1
+            pool.send(0, 0, None, [(0, None)])
+            assert _reply(pool, 0)[0][0] == 0
+            assert pool.replace(0, "second loss") is False
+            assert pool.live_slots() == []
+        finally:
+            pool.close()
+        assert [action for action, _, _ in events] == [
+            "worker_death", "worker_respawn", "worker_death", "pool_degraded"]
+        assert events[0] == ("worker_death", 0, "first loss")
+        assert events[1][2] == "respawn 1/1 after 0.01s backoff"
 
 
 class TestPretrainerGuards:

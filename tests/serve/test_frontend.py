@@ -1,6 +1,7 @@
 """ReplicatedFrontend: admission, deadlines, routing, replica recovery."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -267,6 +268,35 @@ class TestReplicatedFrontend:
             assert results[0]["replica"] == -1
             assert registry.counter("serve.frontend.degraded").value == 1
             assert registry.counter("serve.frontend.fallbacks").value >= 1
+
+    @pytest.mark.parametrize("max_respawns", [2, 0])
+    def test_idle_replica_death_is_noticed_without_traffic(
+            self, encoder, serve_tables, max_respawns):
+        settled = ("serve.frontend.respawns" if max_respawns
+                   else "serve.frontend.degraded")
+        with using_registry(MetricsRegistry()) as registry:
+            frontend = ReplicatedFrontend(
+                _engine(encoder),
+                FrontendConfig(replicas=1, max_respawns=max_respawns))
+            with frontend:
+                warm = frontend.process([("nli", _nli(serve_tables))],
+                                        timeout=120)
+                assert "error" not in warm[0]
+                frontend._pool.handle(0).process.kill()
+                deadline = time.monotonic() + 5.0
+                while (registry.counter(settled).value < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.02)
+                health = frontend.healthz()
+                if max_respawns:
+                    assert health["status"] == "ok"
+                    assert health["live_replicas"] == 1
+                    assert frontend._pool.handle(0).generation == 1
+                else:
+                    assert health["status"] == "degraded"
+                    assert health["live_replicas"] == 0
+            assert registry.counter(
+                "serve.frontend.worker_deaths").value == 1
 
     def test_affinity_routing_is_stable(self, encoder, serve_tables):
         frontend = ReplicatedFrontend(_engine(encoder))
