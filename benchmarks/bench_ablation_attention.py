@@ -75,10 +75,10 @@ def test_forward_latency(benchmark, name, tokenizer, config):
     model.eval()
     batch, _ = model.batch([grid_table(20, 5)])
 
-    from repro.nn import no_grad
+    from repro.nn import inference_mode
 
     def forward():
-        with no_grad():
+        with inference_mode():
             return model(batch)
 
     out = benchmark(forward)

@@ -14,11 +14,11 @@ Rules — each guards a convention the rest of the codebase relies on:
 - **REPRO005** public functions in ``analysis`` / ``serve`` / ``runtime``
   must carry full parameter and return annotations — these are the
   packages other tooling introspects.
-- **REPRO006** op math must go through the backend: inside ``nn/`` only
-  the backend seam itself (``backend.py``, ``tensor.py``, ``optim.py``)
-  may do raw ``.data`` arithmetic — elsewhere it bypasses the
-  :mod:`repro.nn.backend` op registry, so a future non-numpy backend
-  would silently disagree with the numpy one.
+- **REPRO006** op math must go through the op table: inside ``nn/`` only
+  the op seam itself (``backend.py``, ``tensor.py``, ``optim.py``) may do
+  raw ``.data`` arithmetic — elsewhere it bypasses the
+  :mod:`repro.nn.backend` op table, and op math outside the table is
+  neither taped nor observed.
 - **REPRO007** no silent exception swallowing: bare ``except:`` is
   always flagged, and ``except X: pass`` (a handler whose body is only
   ``pass``/``...``) is flagged unless *every* caught exception is on
@@ -57,7 +57,7 @@ RULES: dict[str, str] = {
     "REPRO003": "mutable default argument",
     "REPRO004": "serve-path forward() outside an inference context",
     "REPRO005": "public function missing type annotations",
-    "REPRO006": "op math must go through the backend",
+    "REPRO006": "op math must go through the op table",
     "REPRO007": "exception silently swallowed (bare except / except-pass)",
     "REPRO008": "guarded attribute accessed outside its lock",
     "REPRO009": "lock-order hazard (cycle or blocking call under lock)",
@@ -70,9 +70,9 @@ _SILENCEABLE_EXCEPTIONS = frozenset({
     "GeneratorExit",
 })
 
-#: nn/ modules that *are* the backend seam — the only places raw
-#: ``.data`` arithmetic is the implementation rather than a bypass.
-_BACKEND_SEAM_FILES = frozenset({
+#: nn/ modules that *are* the op seam — the only places raw ``.data``
+#: arithmetic is the implementation rather than a bypass.
+_OP_SEAM_FILES = frozenset({
     "backend.py", "tensor.py", "optim.py",
 })
 
@@ -172,7 +172,7 @@ class _Visitor(ast.NodeVisitor):
         self.in_nn = "nn" in parts
         self.in_serve = "serve" in parts
         name = Path(path).name
-        self.in_backend_seam = name in _BACKEND_SEAM_FILES
+        self.in_op_seam = name in _OP_SEAM_FILES
         self.needs_annotations = bool(parts & _ANNOTATED_PACKAGES)
         self.select = select
         self.findings: list[LintFinding] = []
@@ -214,7 +214,7 @@ class _Visitor(ast.NodeVisitor):
         if _is_data_access(node.left) or _is_data_access(node.right):
             if not self.in_nn:
                 self._report("REPRO002", node)
-            elif not self.in_backend_seam:
+            elif not self.in_op_seam:
                 self._report("REPRO006", node,
                              "raw .data arithmetic inside nn/")
         self.generic_visit(node)
@@ -223,7 +223,7 @@ class _Visitor(ast.NodeVisitor):
         if _is_data_access(node.target) or _is_data_access(node.value):
             if not self.in_nn:
                 self._report("REPRO002", node)
-            elif not self.in_backend_seam:
+            elif not self.in_op_seam:
                 self._report("REPRO006", node,
                              "raw .data arithmetic inside nn/")
         self.generic_visit(node)

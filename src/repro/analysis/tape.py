@@ -9,9 +9,8 @@ pass and reports wiring problems that numerics alone hide:
   output never feeds the loss, so they burn flops and receive no
   gradient;
 - **dtype promotions** — narrow float arrays silently widened to the
-  backend's accumulation dtype (``backend.default_dtype``, float64 on the
-  numpy backend) by a mixed-precision operand; this "float64 creep"
-  doubles memory traffic;
+  library's accumulation dtype (``backend.DEFAULT_DTYPE``, float64) by a
+  mixed-precision operand; this "float64 creep" doubles memory traffic;
 - **non-finite values** — NaN/Inf already present in the forward values;
 - **fan-out risk** — outputs of numerically touchy ops (``exp``, ``log``,
   ``pow``, ``div``) consumed by many downstream nodes, the classic NaN
@@ -19,8 +18,9 @@ pass and reports wiring problems that numerics alone hide:
 
 Use :func:`trace_tape` around the forward pass when untouched-op and
 fan-out findings are wanted; dead-parameter / dtype / non-finite checks
-need only the loss tensor.  :class:`OpCounter` is the cheap hook the
-zero-forward-pass assertion of ``repro check`` relies on.
+need only the loss tensor.  :class:`OpCounter` is the cheap op hook the
+zero-forward-pass assertion of ``repro check`` relies on; it counts ops
+in grad and inference mode alike.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..nn import Module, Tensor
-from ..nn.backend import get_backend
+from ..nn import DEFAULT_DTYPE, Module, Tensor
 from ..nn.tensor import set_tape_hook
 from ..runtime import MetricsRegistry, get_registry
 
@@ -46,18 +45,19 @@ RISKY_OPS = frozenset({"exp", "log", "pow", "div"})
 
 
 class OpCounter:
-    """Minimal tape hook counting op creations — nothing else.
+    """Minimal op hook counting ops run — nothing else.
 
     ``repro check`` installs one while it instantiates and symbolically
     walks every model × task pair, then asserts ``forward_ops == 0``:
-    static validation must never run an actual forward pass.
+    static validation must never run an actual forward pass, with the
+    tape on or off.
     """
 
     def __init__(self) -> None:
         self.forward_ops = 0
         self.backward_ops = 0
 
-    def on_forward(self, op: str, nbytes: int) -> None:
+    def on_forward(self, op: str, nbytes: int, seconds: float) -> None:
         self.forward_ops += 1
 
     def on_backward(self, op: str, seconds: float) -> None:
@@ -65,7 +65,7 @@ class OpCounter:
 
 
 class TapeTracer(OpCounter):
-    """Tape hook retaining every tracked tensor created while installed."""
+    """Op hook retaining every tracked tensor created while installed."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -212,10 +212,10 @@ def sanitize_tape(
         for parent in node._parents:
             consumers[id(parent)] = consumers.get(id(parent), 0) + 1
 
-    # The creep check is defined against the backend's accumulation
+    # The creep check is defined against the library's accumulation
     # dtype, not a hard-coded float64, so it and the loss functions
-    # agree on one source of truth (``backend.default_dtype``).
-    wide = np.dtype(get_backend().default_dtype)
+    # agree on one source of truth (``backend.DEFAULT_DTYPE``).
+    wide = np.dtype(DEFAULT_DTYPE)
     for node in reachable.values():
         data = node.data
         if data.dtype == wide and any(

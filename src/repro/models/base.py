@@ -37,7 +37,7 @@ __all__ = ["TableEncoding", "TableEncoder"]
 class TableEncoding:
     """Multi-granularity numeric representation of one table.
 
-    All arrays are plain numpy (inference is run under ``no_grad``).
+    All arrays are plain numpy (inference is run under ``inference_mode``).
     """
 
     tokens: list[str]

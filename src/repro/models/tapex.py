@@ -21,7 +21,6 @@ from ..nn import (
     Module,
     Tensor,
     cross_entropy,
-    no_grad,
 )
 from ..serialize import BatchedFeatures, Serializer
 from ..tables import Table
@@ -119,24 +118,18 @@ class Tapex(Module):
     def generate(self, table: Table, query: str) -> str:
         """Greedy-decode the denotation text for one (query, table) pair."""
         vocab = self.tokenizer.vocab
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                batch, _ = self.encoder.batch([table], [query])
-                memory = self.encoder(batch)
-                generated = [vocab.bos_id]
-                for _ in range(self.max_answer_tokens):
-                    inputs = np.array([generated], dtype=np.int64)
-                    hidden = self._decode_hidden(memory, batch, inputs)
-                    logits = self.output_projection(hidden[:, -1])
-                    next_id = int(logits.data[0].argmax())
-                    if next_id == vocab.eos_id:
-                        break
-                    generated.append(next_id)
-        finally:
-            if was_training:
-                self.train()
+        with self.inference():
+            batch, _ = self.encoder.batch([table], [query])
+            memory = self.encoder(batch)
+            generated = [vocab.bos_id]
+            for _ in range(self.max_answer_tokens):
+                inputs = np.array([generated], dtype=np.int64)
+                hidden = self._decode_hidden(memory, batch, inputs)
+                logits = self.output_projection(hidden[:, -1])
+                next_id = int(logits.data[0].argmax())
+                if next_id == vocab.eos_id:
+                    break
+                generated.append(next_id)
         return self.tokenizer.decode(generated[1:])
 
     def generate_beam(self, table: Table, query: str,
@@ -149,40 +142,34 @@ class Tapex(Module):
         if beam_width < 1:
             raise ValueError("beam_width must be positive")
         vocab = self.tokenizer.vocab
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                batch, _ = self.encoder.batch([table], [query])
-                memory = self.encoder(batch)
-                # Each beam: (token ids incl. BOS, log prob, finished).
-                beams: list[tuple[list[int], float, bool]] = [
-                    ([vocab.bos_id], 0.0, False)]
-                for _ in range(self.max_answer_tokens):
-                    candidates: list[tuple[list[int], float, bool]] = []
-                    for ids, score, finished in beams:
-                        if finished:
-                            candidates.append((ids, score, True))
-                            continue
-                        inputs = np.array([ids], dtype=np.int64)
-                        hidden = self._decode_hidden(memory, batch, inputs)
-                        logits = self.output_projection(hidden[:, -1])
-                        log_probs = logits.log_softmax(axis=-1).data[0]
-                        top = np.argsort(-log_probs)[:beam_width]
-                        for token_id in top:
-                            token_id = int(token_id)
-                            candidates.append((
-                                ids + [token_id],
-                                score + float(log_probs[token_id]),
-                                token_id == vocab.eos_id,
-                            ))
-                    candidates.sort(key=lambda item: -item[1])
-                    beams = candidates[:beam_width]
-                    if all(finished for _, _, finished in beams):
-                        break
-        finally:
-            if was_training:
-                self.train()
+        with self.inference():
+            batch, _ = self.encoder.batch([table], [query])
+            memory = self.encoder(batch)
+            # Each beam: (token ids incl. BOS, log prob, finished).
+            beams: list[tuple[list[int], float, bool]] = [
+                ([vocab.bos_id], 0.0, False)]
+            for _ in range(self.max_answer_tokens):
+                candidates: list[tuple[list[int], float, bool]] = []
+                for ids, score, finished in beams:
+                    if finished:
+                        candidates.append((ids, score, True))
+                        continue
+                    inputs = np.array([ids], dtype=np.int64)
+                    hidden = self._decode_hidden(memory, batch, inputs)
+                    logits = self.output_projection(hidden[:, -1])
+                    log_probs = logits.log_softmax(axis=-1).data[0]
+                    top = np.argsort(-log_probs)[:beam_width]
+                    for token_id in top:
+                        token_id = int(token_id)
+                        candidates.append((
+                            ids + [token_id],
+                            score + float(log_probs[token_id]),
+                            token_id == vocab.eos_id,
+                        ))
+                candidates.sort(key=lambda item: -item[1])
+                beams = candidates[:beam_width]
+                if all(finished for _, _, finished in beams):
+                    break
         results = []
         for ids, score, _ in beams:
             body = [i for i in ids[1:] if i != vocab.eos_id]

@@ -4,29 +4,21 @@ This package replaces the paper's PyTorch/HuggingFace dependency with a
 self-contained, gradient-checked numpy implementation (see DESIGN.md,
 substitution table).
 
-This ``__init__`` is the canonical public surface.  Two layers are
-re-exported here and stable:
+This ``__init__`` is the canonical public surface: the eager API
+(:class:`Tensor`, :class:`Module`, layers, optimizers), the one tape-off
+mode (:class:`inference_mode`), the op hook (:func:`set_tape_hook`) and
+``DEFAULT_DTYPE``.
 
-- the eager API (:class:`Tensor`, :class:`Module`, layers, optimizers);
-- the backend protocol (:class:`Backend`, :class:`NumpyBackend`,
-  :func:`get_backend` / :func:`set_backend`, ``DEFAULT_DTYPE``) — every
-  op's forward/vjp pair lives in the backend registry, and every tensor
-  op dispatches through it.
-
-Every op dispatches through ``Tensor._apply`` into the backend registry;
-raw ``.data`` arithmetic is an implementation detail of the backend seam
-and is flagged anywhere else in ``nn/`` (lint rule REPRO006).
+Every op runs through ``Tensor._apply``, which looks its forward/vjp
+pair (:class:`OpDef`) up in the one op table of :mod:`repro.nn.backend`,
+whose kernels call numpy directly.  Raw ``.data`` arithmetic is an
+implementation detail of that seam and is flagged anywhere else in
+``nn/`` (lint rule REPRO006): op math outside the table is neither
+taped nor observed.
 """
 
 from .attention import MultiHeadAttention, causal_mask, padding_mask
-from .backend import (
-    DEFAULT_DTYPE,
-    Backend,
-    NumpyBackend,
-    OpDef,
-    get_backend,
-    set_backend,
-)
+from .backend import DEFAULT_DTYPE, OpDef
 from .functional import (
     binary_cross_entropy_with_logits,
     cosine_similarity,
@@ -57,18 +49,14 @@ from .tensor import (
     Tensor,
     get_tape_hook,
     inference_mode,
-    is_grad_enabled,
     is_inference_mode,
-    no_grad,
     set_tape_hook,
 )
 from .transformer import Decoder, DecoderLayer, Encoder, EncoderLayer, FeedForward
 
 __all__ = [
-    "Tensor", "no_grad", "inference_mode", "is_grad_enabled",
-    "is_inference_mode", "set_tape_hook", "get_tape_hook",
-    "Backend", "NumpyBackend", "OpDef", "get_backend", "set_backend",
-    "DEFAULT_DTYPE",
+    "Tensor", "inference_mode", "is_inference_mode",
+    "set_tape_hook", "get_tape_hook", "OpDef", "DEFAULT_DTYPE",
     "Module", "ModuleList", "Parameter", "InitMetadata",
     "Linear", "Embedding", "LayerNorm", "Dropout",
     "MultiHeadAttention", "causal_mask", "padding_mask",

@@ -1,20 +1,18 @@
-"""The pluggable numeric backend behind every ``Tensor`` op.
+"""The op table behind every ``Tensor`` op.
 
 This module is the seam between the autograd bookkeeping in
 :mod:`repro.nn.tensor` and the arithmetic that actually runs.  Every
-operation the library performs through ``Tensor`` methods is expressed
-as an :class:`OpDef`: a pure ``forward`` function producing the result
-array plus a context tuple, and a pure ``vjp`` function mapping an
-output gradient back onto the inputs.  Both directions receive the
-active :class:`Backend`, so swapping numpy for a BLAS-threaded or
-array-API implementation means registering a different op table — no
-caller changes.
+operation the library performs through ``Tensor`` methods is one
+:class:`OpDef` in :data:`OPS`: a pure ``forward`` function producing the
+result array plus a context tuple, and a pure ``vjp`` function mapping
+an output gradient back onto the inputs.  The kernels call numpy
+directly.
 
 Bit-identity contract
 ---------------------
 The forward/vjp pairs here reproduce, float-op for float-op, the inline
-numpy the pre-backend ``Tensor`` closures executed (see DESIGN.md,
-"Backend seam").  The fused ``cross_entropy`` kernel runs the same
+numpy the original ``Tensor`` closures executed (see DESIGN.md,
+"Op table").  The fused ``cross_entropy`` kernel runs the same
 elementary float sequence as the op chain it replaces; its speedup
 comes from eliminating per-op dispatch and node bookkeeping, never from
 reassociating arithmetic.
@@ -37,15 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_DTYPE",
-    "Backend",
-    "NumpyBackend",
-    "OpDef",
-    "get_backend",
-    "set_backend",
-    "active_ops",
-]
+__all__ = ["DEFAULT_DTYPE", "OPS", "OpDef"]
 
 # The accumulation dtype of the whole library: parameters, gradients and
 # loss arithmetic.  Integer/bool inputs are promoted to this on Tensor
@@ -120,86 +110,15 @@ def _canon(x: np.ndarray) -> np.ndarray:
 class OpDef:
     """One differentiable operation: a forward kernel and its VJP.
 
-    ``forward(backend, datas, params) -> (out, ctx)`` consumes raw input
-    arrays (no Tensor objects) and returns the result plus whatever the
-    backward pass needs.  ``vjp(backend, grad, ctx, needs) -> grads``
-    returns one gradient per input (``None`` where ``needs`` is False).
+    ``forward(datas, params) -> (out, ctx)`` consumes raw input arrays
+    (no Tensor objects) and returns the result plus whatever the
+    backward pass needs.  ``vjp(grad, ctx, needs) -> grads`` returns one
+    gradient per input (``None`` where ``needs`` is False).
     """
 
     name: str
     forward: Callable[..., tuple[np.ndarray, tuple]]
-    vjp: Callable[..., tuple] | None = None
-
-
-class Backend:
-    """Protocol for a numeric backend: primitives plus the op table.
-
-    The primitive methods (``matmul``, ``exp`` …) are the compute-heavy
-    entry points an alternative backend overrides wholesale; the op table
-    (``op(name)``) carries the full forward/VJP definitions every
-    ``Tensor`` op dispatches through.  Shape/view glue (``reshape``,
-    ``broadcast_to``) is numpy-array semantics by definition and not part
-    of the protocol.
-    """
-
-    name = "abstract"
-    default_dtype = DEFAULT_DTYPE
-
-    def __init__(self) -> None:
-        self._ops: dict[str, OpDef] = {}
-
-    # -- op table ------------------------------------------------------
-    def op(self, name: str) -> OpDef:
-        return self._ops[name]
-
-    def register(self, opdef: OpDef) -> None:
-        """Install (or override) one op definition."""
-        self._ops[opdef.name] = opdef
-
-    def ops(self) -> dict[str, OpDef]:
-        return dict(self._ops)
-
-    # -- primitives (the minimal swap surface) -------------------------
-    def matmul(self, a, b):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def multiply(self, a, b):
-        raise NotImplementedError
-
-    def exp(self, a):
-        raise NotImplementedError
-
-    def tanh(self, a, out=None):
-        raise NotImplementedError
-
-
-class NumpyBackend(Backend):
-    """The default backend: plain numpy, float64 accumulation."""
-
-    name = "numpy"
-
-    def __init__(self) -> None:
-        super().__init__()
-        for opdef in _NUMPY_OPS.values():
-            self.register(opdef)
-
-    def matmul(self, a, b):
-        return a @ b
-
-    def add(self, a, b):
-        return np.add(a, b)
-
-    def multiply(self, a, b):
-        return np.multiply(a, b)
-
-    def exp(self, a):
-        return np.exp(a)
-
-    def tanh(self, a, out=None):
-        return np.tanh(a, out=out)
+    vjp: Callable[..., tuple]
 
 
 # ----------------------------------------------------------------------
@@ -207,95 +126,95 @@ class NumpyBackend(Backend):
 # the original Tensor closure exactly — do not "simplify" the arithmetic.
 # ----------------------------------------------------------------------
 
-def _fw_add(b, datas, params):
+def _fw_add(datas, params):
     x, y = datas
-    return b.add(x, y), (x.shape, y.shape)
+    return np.add(x, y), (x.shape, y.shape)
 
 
-def _bw_add(b, grad, ctx, needs):
+def _bw_add(grad, ctx, needs):
     xs, ys = ctx
     return (_unbroadcast(grad, xs) if needs[0] else None,
             _unbroadcast(grad, ys) if needs[1] else None)
 
 
-def _fw_neg(b, datas, params):
+def _fw_neg(datas, params):
     return np.negative(datas[0]), ()
 
 
-def _bw_neg(b, grad, ctx, needs):
+def _bw_neg(grad, ctx, needs):
     return (-grad,)
 
 
-def _fw_mul(b, datas, params):
+def _fw_mul(datas, params):
     x, y = datas
-    return b.multiply(x, y), (x, y)
+    return np.multiply(x, y), (x, y)
 
 
-def _bw_mul(b, grad, ctx, needs):
+def _bw_mul(grad, ctx, needs):
     x, y = ctx
     return (_unbroadcast(grad * y, x.shape) if needs[0] else None,
             _unbroadcast(grad * x, y.shape) if needs[1] else None)
 
 
-def _fw_div(b, datas, params):
+def _fw_div(datas, params):
     x, y = datas
     return np.divide(x, y), (x, y)
 
 
-def _bw_div(b, grad, ctx, needs):
+def _bw_div(grad, ctx, needs):
     x, y = ctx
     return (_unbroadcast(grad / y, x.shape) if needs[0] else None,
             _unbroadcast(-grad * x / (y**2), y.shape) if needs[1] else None)
 
 
-def _fw_pow(b, datas, params):
+def _fw_pow(datas, params):
     (x,) = datas
     e = params["exponent"]
     return np.power(x, e), (x, e)
 
 
-def _bw_pow(b, grad, ctx, needs):
+def _bw_pow(grad, ctx, needs):
     x, e = ctx
     return (grad * e * x ** (e - 1),)
 
 
-def _fw_exp(b, datas, params):
-    out_data = b.exp(datas[0])
+def _fw_exp(datas, params):
+    out_data = np.exp(datas[0])
     return out_data, (out_data,)
 
 
-def _bw_exp(b, grad, ctx, needs):
+def _bw_exp(grad, ctx, needs):
     (out_data,) = ctx
     return (grad * out_data,)
 
 
-def _fw_log(b, datas, params):
+def _fw_log(datas, params):
     (x,) = datas
     return np.log(x), (x,)
 
 
-def _bw_log(b, grad, ctx, needs):
+def _bw_log(grad, ctx, needs):
     (x,) = ctx
     return (grad / x,)
 
 
-def _fw_tanh(b, datas, params):
-    out_data = b.tanh(datas[0])
+def _fw_tanh(datas, params):
+    out_data = np.tanh(datas[0])
     return out_data, (out_data,)
 
 
-def _bw_tanh(b, grad, ctx, needs):
+def _bw_tanh(grad, ctx, needs):
     (out_data,) = ctx
     return (grad * (1.0 - out_data**2),)
 
 
-def _fw_relu(b, datas, params):
+def _fw_relu(datas, params):
     (x,) = datas
     mask = x > 0
     return np.where(mask, x, 0.0), (mask,)
 
 
-def _bw_relu(b, grad, ctx, needs):
+def _bw_relu(grad, ctx, needs):
     (mask,) = ctx
     return (grad * mask,)
 
@@ -303,7 +222,7 @@ def _bw_relu(b, grad, ctx, needs):
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _fw_gelu(b, datas, params):
+def _fw_gelu(datas, params):
     """``0.5 * x * (1 + t)`` and ``t = tanh(C * (x + 0.044715 * x**3))``.
 
     The cube is ``(x * x) * x``: NumPy has no fast path for a scalar power
@@ -320,52 +239,52 @@ def _fw_gelu(b, datas, params):
     inner *= 0.044715
     inner += x
     inner *= _GELU_C
-    t = b.tanh(inner, out=inner)
+    t = np.tanh(inner, out=inner)
     out_data = 0.5 * x
     out_data *= 1.0 + t
     return out_data, (x, t)
 
 
-def _bw_gelu(b, grad, ctx, needs):
+def _bw_gelu(grad, ctx, needs):
     x, t = ctx
     d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
     local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
     return (grad * local,)
 
 
-def _fw_sigmoid(b, datas, params):
-    out_data = 1.0 / (1.0 + b.exp(-datas[0]))
+def _fw_sigmoid(datas, params):
+    out_data = 1.0 / (1.0 + np.exp(-datas[0]))
     return out_data, (out_data,)
 
 
-def _bw_sigmoid(b, grad, ctx, needs):
+def _bw_sigmoid(grad, ctx, needs):
     (out_data,) = ctx
     return (grad * out_data * (1.0 - out_data),)
 
 
-def _fw_matmul(b, datas, params):
+def _fw_matmul(datas, params):
     x, y = datas
-    return b.matmul(x, y), (x, y)
+    return x @ y, (x, y)
 
 
-def _bw_matmul(b, grad, ctx, needs):
+def _bw_matmul(grad, ctx, needs):
     x, y = ctx
     gx = gy = None
     if needs[0]:
-        gx = _unbroadcast(b.matmul(grad, np.swapaxes(y, -1, -2)), x.shape)
+        gx = _unbroadcast(grad @ np.swapaxes(y, -1, -2), x.shape)
     if needs[1]:
-        gy = _unbroadcast(b.matmul(np.swapaxes(x, -1, -2), grad), y.shape)
+        gy = _unbroadcast(np.swapaxes(x, -1, -2) @ grad, y.shape)
     return (gx, gy)
 
 
-def _fw_sum(b, datas, params):
+def _fw_sum(datas, params):
     (x,) = datas
     axis = params["axis"]
     keepdims = params["keepdims"]
     return x.sum(axis=axis, keepdims=keepdims), (x.shape, axis, keepdims)
 
 
-def _bw_sum(b, grad, ctx, needs):
+def _bw_sum(grad, ctx, needs):
     shape, axis, keepdims = ctx
     g = grad
     if axis is not None and not keepdims:
@@ -376,7 +295,7 @@ def _bw_sum(b, grad, ctx, needs):
     return (np.broadcast_to(g, shape).copy(),)
 
 
-def _fw_max(b, datas, params):
+def _fw_max(datas, params):
     (x,) = datas
     axis = params["axis"]
     keepdims = params["keepdims"]
@@ -384,7 +303,7 @@ def _fw_max(b, datas, params):
     return data, (x, data, axis, keepdims)
 
 
-def _bw_max(b, grad, ctx, needs):
+def _bw_max(grad, ctx, needs):
     x, out_data, axis, keepdims = ctx
     expanded = out_data if keepdims else np.expand_dims(out_data, axis)
     mask = x == expanded
@@ -394,95 +313,95 @@ def _bw_max(b, grad, ctx, needs):
     return (mask * g / counts,)
 
 
-def _fw_reshape(b, datas, params):
+def _fw_reshape(datas, params):
     (x,) = datas
     return x.reshape(params["shape"]), (x.shape,)
 
 
-def _bw_reshape(b, grad, ctx, needs):
+def _bw_reshape(grad, ctx, needs):
     (original,) = ctx
     return (grad.reshape(original),)
 
 
-def _fw_transpose(b, datas, params):
+def _fw_transpose(datas, params):
     (x,) = datas
     axes = params["axes"]
     return x.transpose(axes), (np.argsort(axes),)
 
 
-def _bw_transpose(b, grad, ctx, needs):
+def _bw_transpose(grad, ctx, needs):
     (inverse,) = ctx
     return (grad.transpose(inverse),)
 
 
-def _fw_getitem(b, datas, params):
+def _fw_getitem(datas, params):
     (x,) = datas
     return x[params["index"]], (x, params["index"])
 
 
-def _bw_getitem(b, grad, ctx, needs):
+def _bw_getitem(grad, ctx, needs):
     x, index = ctx
     full = np.zeros_like(x, dtype=DEFAULT_DTYPE)
     np.add.at(full, index, grad)
     return (full,)
 
 
-def _fw_take_rows(b, datas, params):
+def _fw_take_rows(datas, params):
     (x,) = datas
     idx = params["indices"]
     return x[idx], (x, idx)
 
 
-def _bw_take_rows(b, grad, ctx, needs):
+def _bw_take_rows(grad, ctx, needs):
     x, idx = ctx
     full = np.zeros_like(x, dtype=DEFAULT_DTYPE)
     np.add.at(full, idx.reshape(-1), grad.reshape(-1, x.shape[1]))
     return (full,)
 
 
-def _fw_softmax(b, datas, params):
+def _fw_softmax(datas, params):
     (x,) = datas
     axis = params["axis"]
     shifted = x - x.max(axis=axis, keepdims=True)
-    exp = b.exp(shifted)
+    exp = np.exp(shifted)
     out_data = exp / exp.sum(axis=axis, keepdims=True)
     return out_data, (out_data, axis)
 
 
-def _bw_softmax(b, grad, ctx, needs):
+def _bw_softmax(grad, ctx, needs):
     out_data, axis = ctx
     dot = (grad * out_data).sum(axis=axis, keepdims=True)
     return (out_data * (grad - dot),)
 
 
-def _fw_log_softmax(b, datas, params):
+def _fw_log_softmax(datas, params):
     (x,) = datas
     axis = params["axis"]
     shifted = x - x.max(axis=axis, keepdims=True)
-    log_z = np.log(b.exp(shifted).sum(axis=axis, keepdims=True))
+    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - log_z
-    probs = b.exp(out_data)
+    probs = np.exp(out_data)
     return out_data, (probs, axis)
 
 
-def _bw_log_softmax(b, grad, ctx, needs):
+def _bw_log_softmax(grad, ctx, needs):
     probs, axis = ctx
     total = grad.sum(axis=axis, keepdims=True)
     return (grad - probs * total,)
 
 
-def _fw_masked_fill(b, datas, params):
+def _fw_masked_fill(datas, params):
     (x,) = datas
     mask = params["mask"]
     return np.where(mask, params["value"], x), (mask, x.shape)
 
 
-def _bw_masked_fill(b, grad, ctx, needs):
+def _bw_masked_fill(grad, ctx, needs):
     mask, shape = ctx
     return (_unbroadcast(np.where(mask, 0.0, grad), shape),)
 
 
-def _fw_concatenate(b, datas, params):
+def _fw_concatenate(datas, params):
     axis = params["axis"]
     out_data = np.concatenate(datas, axis=axis)
     sizes = [d.shape[axis] for d in datas]
@@ -490,7 +409,7 @@ def _fw_concatenate(b, datas, params):
     return out_data, (axis, offsets)
 
 
-def _bw_concatenate(b, grad, ctx, needs):
+def _bw_concatenate(grad, ctx, needs):
     axis, offsets = ctx
     grads = []
     for i, (start, stop) in enumerate(zip(offsets[:-1], offsets[1:])):
@@ -503,11 +422,11 @@ def _bw_concatenate(b, grad, ctx, needs):
     return tuple(grads)
 
 
-def _fw_stack(b, datas, params):
+def _fw_stack(datas, params):
     return np.stack(datas, axis=params["axis"]), (params["axis"],)
 
 
-def _bw_stack(b, grad, ctx, needs):
+def _bw_stack(grad, ctx, needs):
     (axis,) = ctx
     slices = np.moveaxis(grad, axis, 0)
     return tuple(piece if need else None
@@ -519,7 +438,7 @@ def _bw_stack(b, grad, ctx, needs):
 # replaces; ``_canon`` marks every interior tape-node boundary.
 # ----------------------------------------------------------------------
 
-def _fw_cross_entropy(b, datas, params):
+def _fw_cross_entropy(datas, params):
     """Mean NLL over non-ignored targets, fused with log-softmax.
 
     Replaces the five-op chain ``log_softmax → getitem → mul → sum →
@@ -530,9 +449,9 @@ def _fw_cross_entropy(b, datas, params):
     targets = params["targets"]
     ignore_index = params["ignore_index"]
     shifted = flat - flat.max(axis=-1, keepdims=True)
-    log_z = np.log(b.exp(shifted).sum(axis=-1, keepdims=True))
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_z
-    probs = b.exp(log_probs)
+    probs = np.exp(log_probs)
     if ignore_index is not None:
         keep = targets != ignore_index
         safe = np.where(keep, targets, 0)
@@ -546,7 +465,7 @@ def _fw_cross_entropy(b, datas, params):
     return out_data, (probs, weights, rows, safe, picked.shape, flat.shape)
 
 
-def _bw_cross_entropy(b, grad, ctx, needs):
+def _bw_cross_entropy(grad, ctx, needs):
     probs, weights, rows, safe, picked_shape, flat_shape = ctx
     g1 = _canon(-grad)
     g2 = np.broadcast_to(g1, picked_shape)
@@ -558,63 +477,32 @@ def _bw_cross_entropy(b, grad, ctx, needs):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The op table: ``Tensor._apply`` looks every op up here by name.
 # ----------------------------------------------------------------------
 
-_NUMPY_OPS: dict[str, OpDef] = {}
-
-
-def _register(name: str, forward, vjp) -> None:
-    _NUMPY_OPS[name] = OpDef(name=name, forward=forward, vjp=vjp)
-
-
-_register("add", _fw_add, _bw_add)
-_register("neg", _fw_neg, _bw_neg)
-_register("mul", _fw_mul, _bw_mul)
-_register("div", _fw_div, _bw_div)
-_register("pow", _fw_pow, _bw_pow)
-_register("exp", _fw_exp, _bw_exp)
-_register("log", _fw_log, _bw_log)
-_register("tanh", _fw_tanh, _bw_tanh)
-_register("relu", _fw_relu, _bw_relu)
-_register("gelu", _fw_gelu, _bw_gelu)
-_register("sigmoid", _fw_sigmoid, _bw_sigmoid)
-_register("matmul", _fw_matmul, _bw_matmul)
-_register("sum", _fw_sum, _bw_sum)
-_register("max", _fw_max, _bw_max)
-_register("reshape", _fw_reshape, _bw_reshape)
-_register("transpose", _fw_transpose, _bw_transpose)
-_register("getitem", _fw_getitem, _bw_getitem)
-_register("take_rows", _fw_take_rows, _bw_take_rows)
-_register("softmax", _fw_softmax, _bw_softmax)
-_register("log_softmax", _fw_log_softmax, _bw_log_softmax)
-_register("masked_fill", _fw_masked_fill, _bw_masked_fill)
-_register("concatenate", _fw_concatenate, _bw_concatenate)
-_register("stack", _fw_stack, _bw_stack)
-_register("cross_entropy", _fw_cross_entropy, _bw_cross_entropy)
-
-
-_BACKEND: Backend = NumpyBackend()
-_ACTIVE_OPS: dict[str, OpDef] = _BACKEND.ops()
-
-
-def get_backend() -> Backend:
-    """The backend every op currently dispatches through."""
-    return _BACKEND
-
-
-def set_backend(backend: Backend) -> Backend:
-    """Swap the active backend; returns the previous one.
-
-    Every ``Tensor`` op dispatched afterwards uses the new op table.
-    """
-    global _BACKEND, _ACTIVE_OPS
-    previous = _BACKEND
-    _BACKEND = backend
-    _ACTIVE_OPS = backend.ops()
-    return previous
-
-
-def active_ops() -> dict[str, OpDef]:
-    """The live op table (shared reference; treat as read-only)."""
-    return _ACTIVE_OPS
+OPS: dict[str, OpDef] = {op.name: op for op in (
+    OpDef("add", _fw_add, _bw_add),
+    OpDef("neg", _fw_neg, _bw_neg),
+    OpDef("mul", _fw_mul, _bw_mul),
+    OpDef("div", _fw_div, _bw_div),
+    OpDef("pow", _fw_pow, _bw_pow),
+    OpDef("exp", _fw_exp, _bw_exp),
+    OpDef("log", _fw_log, _bw_log),
+    OpDef("tanh", _fw_tanh, _bw_tanh),
+    OpDef("relu", _fw_relu, _bw_relu),
+    OpDef("gelu", _fw_gelu, _bw_gelu),
+    OpDef("sigmoid", _fw_sigmoid, _bw_sigmoid),
+    OpDef("matmul", _fw_matmul, _bw_matmul),
+    OpDef("sum", _fw_sum, _bw_sum),
+    OpDef("max", _fw_max, _bw_max),
+    OpDef("reshape", _fw_reshape, _bw_reshape),
+    OpDef("transpose", _fw_transpose, _bw_transpose),
+    OpDef("getitem", _fw_getitem, _bw_getitem),
+    OpDef("take_rows", _fw_take_rows, _bw_take_rows),
+    OpDef("softmax", _fw_softmax, _bw_softmax),
+    OpDef("log_softmax", _fw_log_softmax, _bw_log_softmax),
+    OpDef("masked_fill", _fw_masked_fill, _bw_masked_fill),
+    OpDef("concatenate", _fw_concatenate, _bw_concatenate),
+    OpDef("stack", _fw_stack, _bw_stack),
+    OpDef("cross_entropy", _fw_cross_entropy, _bw_cross_entropy),
+)}

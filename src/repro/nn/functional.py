@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import get_backend
+from .backend import DEFAULT_DTYPE
 from .tensor import Tensor
 
 __all__ = [
@@ -20,7 +20,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
                   ignore_index: int | None = None) -> Tensor:
     """Mean token-level cross entropy.
 
-    Dispatches to the backend's fused ``cross_entropy`` op (log-softmax,
+    Dispatches to the fused ``cross_entropy`` op (log-softmax,
     target gather and ignore-index weighting in one kernel); gradients
     are bit-identical to the op chain earlier releases built here.
 
@@ -46,7 +46,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Numerically stable mean BCE: ``max(x,0) - x*t + log(1 + exp(-|x|))``."""
-    targets_t = Tensor(np.asarray(targets, dtype=get_backend().default_dtype))
+    targets_t = Tensor(np.asarray(targets, dtype=DEFAULT_DTYPE))
     abs_logits = logits.relu() + (-logits).relu()
     softplus = ((-abs_logits).exp() + 1.0).log()
     return (logits.relu() - logits * targets_t + softplus).mean()
@@ -54,8 +54,7 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
 
 def mse_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:
     """Mean squared error."""
-    diff = predictions - Tensor(np.asarray(targets,
-                                           dtype=get_backend().default_dtype))
+    diff = predictions - Tensor(np.asarray(targets, dtype=DEFAULT_DTYPE))
     return (diff * diff).mean()
 
 

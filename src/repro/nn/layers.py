@@ -1,8 +1,8 @@
 """Core neural layers: Linear, Embedding, LayerNorm, Dropout.
 
-Layers compose backend ops through the :class:`Tensor` API only — no raw
+Layers compose ops through the :class:`Tensor` API only — no raw
 ``.data`` arithmetic (lint rule REPRO006) — so every op of a forward is
-a tape node the backward pass, the profiler and the tape sanitizer see.
+one the backward pass, the profiler and the tape sanitizer see.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from typing import Iterable
 import numpy as np
 
 from .module import Parameter
-from .tensor import no_grad
 
 __all__ = [
     "SGD",
@@ -101,13 +100,12 @@ class SGD(_Optimizer):
 
     def step(self) -> None:
         self.step_count += 1
-        with no_grad():
-            for p, v in zip(self.parameters, self._velocity):
-                if p.grad is None:
-                    continue
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
+        for p, v in zip(self.parameters, self._velocity):
+            if p.grad is None:
+                continue
+            v *= self.momentum
+            v += p.grad
+            p.data -= self.lr * v
 
 
 class Adam(_Optimizer):
@@ -131,20 +129,19 @@ class Adam(_Optimizer):
         beta1, beta2 = self.betas
         bias1 = 1.0 - beta1**self.step_count
         bias2 = 1.0 - beta2**self.step_count
-        with no_grad():
-            for p, m, v in zip(self.parameters, self._m, self._v):
-                if p.grad is None:
-                    continue
-                grad = p.grad
-                m *= beta1
-                m += (1.0 - beta1) * grad
-                v *= beta2
-                v += (1.0 - beta2) * grad**2
-                m_hat = m / bias1
-                v_hat = v / bias2
-                if self.weight_decay:
-                    p.data -= self.lr * self.weight_decay * p.data
-                p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, m, v in zip(self.parameters, self._m, self._v):
+            if p.grad is None:
+                continue
+            grad = p.grad
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad**2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            if self.weight_decay:
+                p.data -= self.lr * self.weight_decay * p.data
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class ConstantSchedule:

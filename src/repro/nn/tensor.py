@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation on top of the backend op table.
+"""Reverse-mode automatic differentiation on top of the op table.
 
 This module is the computational foundation of the library.  It implements a
 small, well-tested :class:`Tensor` type supporting the operations the
@@ -11,10 +11,11 @@ Calling :meth:`Tensor.backward` on a scalar walks the tape in reverse
 topological order and accumulates gradients into every tensor created with
 ``requires_grad=True``.
 
-Since the backend redesign, the arithmetic itself no longer lives here:
-every op dispatches through :mod:`repro.nn.backend`'s :class:`OpDef` table
-(forward kernel + vector-Jacobian product), and this module only does the
-tape bookkeeping around it.
+The arithmetic itself does not live here: every op is looked up in
+:mod:`repro.nn.backend`'s :data:`~repro.nn.backend.OPS` table (forward
+kernel + vector-Jacobian product), and this module only does the tape
+bookkeeping around it.  :meth:`Tensor._apply` is the one place an op
+runs, so it is also the one place an op is observed (:func:`set_tape_hook`).
 
 All gradients are checked against central finite differences in the test
 suite (``tests/nn/test_tensor.py``).
@@ -27,30 +28,30 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import backend as _backend
-from .backend import DEFAULT_DTYPE, _unbroadcast
+from .backend import DEFAULT_DTYPE, OPS, _unbroadcast
 
-__all__ = ["Tensor", "no_grad", "inference_mode", "is_grad_enabled",
-           "is_inference_mode", "set_tape_hook", "get_tape_hook"]
+__all__ = ["Tensor", "inference_mode", "is_inference_mode",
+           "set_tape_hook", "get_tape_hook"]
 
-_GRAD_ENABLED = True
 _INFERENCE_MODE = False
 
-# Optional profiling hook (see repro.runtime.profiler).  When installed it
-# receives ``on_forward(op, nbytes)`` for every op creation and
-# ``on_backward(op, seconds)`` for every vector-Jacobian product.  A hook
-# may additionally define ``on_node(tensor)`` to observe every *tracked*
-# result tensor as it joins the tape (see repro.analysis.tape); the bound
-# method is cached here so the disabled path stays a single ``is None``
-# check per op.
+# Optional op hook (see repro.runtime.profiler and repro.analysis.tape).
+# When installed it receives ``on_forward(op, nbytes, seconds)`` for every
+# op run, in grad and inference mode alike, and ``on_backward(op,
+# seconds)`` for every vector-Jacobian product.  A hook may additionally
+# define ``on_node(tensor)`` to observe every *tracked* result tensor as
+# it joins the tape (see repro.analysis.tape); the bound method is cached
+# here so the disabled path stays a single ``is None`` check per op.
 _TAPE_HOOK = None
 _TAPE_ON_NODE = None
 
 
 def set_tape_hook(hook) -> object | None:
-    """Install a tape profiling hook; returns the previously installed one.
+    """Install the op hook; returns the previously installed one.
 
-    Pass ``None`` to uninstall.  Used by :func:`repro.runtime.profile`.
+    Pass ``None`` to uninstall.  Used by :func:`repro.runtime.profile`,
+    :func:`repro.analysis.trace_tape` and ``repro check``'s
+    :class:`~repro.analysis.OpCounter`.
     """
     global _TAPE_HOOK, _TAPE_ON_NODE
     previous = _TAPE_HOOK
@@ -64,57 +65,34 @@ def get_tape_hook() -> object | None:
     return _TAPE_HOOK
 
 
-class no_grad:
-    """Context manager disabling gradient tape recording.
-
-    Used by inference paths (``model.encode``) and by optimizers when they
-    update parameters in place.
-    """
-
-    def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._previous = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._previous
-
-
 class inference_mode:
-    """Context manager putting the op layer in its serving fast path.
+    """Context manager turning the autograd tape off.
 
-    Strictly stronger than :class:`no_grad`: besides disabling gradient
-    recording, every op result is built through a slim constructor that
-    retains no parents and no backward closure, skips the profiling-hook
-    check, and bypasses ``Tensor.__init__``'s dtype coercion — the tape
-    simply does not exist for the duration of the block.  Numerics are
-    untouched: forward values are bit-identical to grad mode.
+    The library's one tape-off mode.  Inside the block no tensor
+    requires grad, and every op result is built through a slim
+    constructor that retains no parents and no backward closure and
+    bypasses ``Tensor.__init__``'s dtype coercion — the tape simply does
+    not exist for the duration of the block.  An installed op hook still
+    sees every op.  Numerics are untouched: forward values are
+    bit-identical to grad mode.
 
     Used by the serving layer (:mod:`repro.serve`) and by
     :meth:`Module.inference`.
     """
 
     def __enter__(self) -> "inference_mode":
-        global _GRAD_ENABLED, _INFERENCE_MODE
-        self._previous = (_GRAD_ENABLED, _INFERENCE_MODE)
-        _GRAD_ENABLED = False
+        global _INFERENCE_MODE
+        self._previous = _INFERENCE_MODE
         _INFERENCE_MODE = True
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        global _GRAD_ENABLED, _INFERENCE_MODE
-        _GRAD_ENABLED, _INFERENCE_MODE = self._previous
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations are currently recorded on the tape."""
-    return _GRAD_ENABLED
+        global _INFERENCE_MODE
+        _INFERENCE_MODE = self._previous
 
 
 def is_inference_mode() -> bool:
-    """Return whether the inference fast path is active."""
+    """Return whether the tape is off (inside :class:`inference_mode`)."""
     return _INFERENCE_MODE
 
 
@@ -143,7 +121,7 @@ class Tensor:
         if arr.dtype.kind in "iub":
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and not _INFERENCE_MODE
         self.grad: np.ndarray | None = None
         self._parents = _parents if self.requires_grad or _parents else ()
         self._backward = _backward
@@ -200,19 +178,27 @@ class Tensor:
 
     def _apply(self, name: str, inputs: tuple["Tensor", ...],
                params: dict | None = None) -> "Tensor":
-        """Dispatch one op through the active backend and tape it.
+        """Run one op from the op table and tape it.
 
-        Runs the backend ``forward`` kernel, wraps the result in a
-        ``Tensor`` (slim in inference mode), attaches a generic backward
-        closure invoking the backend ``vjp``, and notifies the profiling
-        hook.  It is the only way a tape node is built: op math that
-        bypasses it gets no gradient and is invisible to the tape hook.
+        Runs the op's ``forward`` kernel (timed and reported to the op
+        hook when one is installed, in every mode), wraps the result in
+        a ``Tensor`` (slim in inference mode) and attaches a generic
+        backward closure invoking the op's ``vjp``.  It is the only way
+        a tape node is built: op math that bypasses it gets no gradient
+        and is invisible to the op hook.
         """
         if params is None:
             params = {}
-        b = _backend._BACKEND
-        opdef = _backend._ACTIVE_OPS[name]
-        out_data, ctx = opdef.forward(b, tuple(t.data for t in inputs), params)
+        opdef = OPS[name]
+        datas = tuple(t.data for t in inputs)
+        hook = _TAPE_HOOK
+        if hook is None:
+            out_data, ctx = opdef.forward(datas, params)
+        else:
+            start = time.perf_counter()
+            out_data, ctx = opdef.forward(datas, params)
+            hook.on_forward(name, out_data.nbytes,
+                            time.perf_counter() - start)
 
         if _INFERENCE_MODE:
             out = Tensor.__new__(Tensor)
@@ -224,15 +210,12 @@ class Tensor:
             out._op = name
             return out
 
-        if _TAPE_HOOK is not None:
-            _TAPE_HOOK.on_forward(name, out_data.nbytes)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in inputs)
-        if not requires:
+        if not any(p.requires_grad for p in inputs):
             return Tensor(out_data)
 
         def backward(grad: np.ndarray) -> None:
             needs = tuple(p.requires_grad for p in inputs)
-            grads = opdef.vjp(b, grad, ctx, needs)
+            grads = opdef.vjp(grad, ctx, needs)
             for parent, g in zip(inputs, grads):
                 if g is not None and parent.requires_grad:
                     parent._accumulate(g)
@@ -460,7 +443,7 @@ class Tensor:
                       ignore_index: int | None = None) -> "Tensor":
         """Mean NLL of a ``(n, classes)`` tensor against integer targets.
 
-        One fused backend op replacing the ``log_softmax → getitem → mul
+        One fused op replacing the ``log_softmax → getitem → mul
         → sum → neg`` chain; gradients are bit-identical to that chain.
         """
         targets = np.asarray(targets, dtype=np.int64)

@@ -535,7 +535,9 @@ class Pretrainer:
         stream; an infinite stream is consumed in order via a derivable
         cursor.  Rebinding happens only when a *different* corpus object
         is offered — worker descriptors rely on the source being stable
-        across the steps of one ``train()`` run.
+        across the steps of one ``train()`` run.  Workers forked against
+        the old source are closed, so the next step re-forks them with
+        the new one.
         """
         source = self._source
         if source is not None and source.origin is corpus:
@@ -551,6 +553,7 @@ class Pretrainer:
             source = _ListSource(corpus)
         if source.size == 0:
             raise EmptyCorpusError("pretraining corpus is empty")
+        self.close()
         self._source = source
         self._desc_memo = None
         return source

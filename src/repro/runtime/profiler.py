@@ -1,12 +1,10 @@
 """Autograd-tape profiler: per-op forward/backward cost accounting.
 
-:func:`profile` instruments the :class:`~repro.nn.Tensor` tape for the
+:func:`profile` installs the op hook of :mod:`repro.nn.tensor` for the
 duration of a ``with`` block:
 
-- every op creation is counted (name + output array bytes) through the
-  tape hook in :mod:`repro.nn.tensor`;
-- the tape-op methods are temporarily wrapped so each forward call is
-  wall-timed;
+- ``Tensor._apply`` counts every op (name + output array bytes) and
+  wall-times its forward kernel, in grad and inference mode alike;
 - :meth:`Tensor.backward` times every node's vector-Jacobian product.
 
 Outside a ``profile`` block the only residual cost is a single
@@ -16,15 +14,13 @@ module-level ``is None`` check per op — the no-op fast path the
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .registry import MetricsRegistry, get_registry
 from .sinks import render_table
-from ..nn import tensor as _tensor_mod
-from ..nn.tensor import Tensor
+from ..nn.tensor import set_tape_hook
 
 __all__ = ["OpStat", "TapeProfile", "profile"]
 
@@ -54,13 +50,14 @@ class TapeProfile:
 
     stats: dict[str, OpStat] = field(default_factory=dict)
 
-    # -- tape hook protocol (called from repro.nn.tensor) ----------------
-    def on_forward(self, op: str, nbytes: int) -> None:
+    # -- op hook protocol (called from repro.nn.tensor) ------------------
+    def on_forward(self, op: str, nbytes: int, seconds: float) -> None:
         stat = self.stats.get(op)
         if stat is None:
             stat = self.stats[op] = OpStat(op)
         stat.calls += 1
         stat.bytes += nbytes
+        stat.forward_seconds += seconds
 
     def on_backward(self, op: str, seconds: float) -> None:
         stat = self.stats.get(op)
@@ -68,12 +65,6 @@ class TapeProfile:
             stat = self.stats[op] = OpStat(op)
         stat.backward_calls += 1
         stat.backward_seconds += seconds
-
-    def add_forward_time(self, op: str, seconds: float) -> None:
-        stat = self.stats.get(op)
-        if stat is None:
-            stat = self.stats[op] = OpStat(op)
-        stat.forward_seconds += seconds
 
     # -- aggregate views -------------------------------------------------
     @property
@@ -117,62 +108,13 @@ class TapeProfile:
         return [s.to_event() for s in self.sorted_stats()]
 
 
-# ----------------------------------------------------------------------
-# Forward-timing patches
-# ----------------------------------------------------------------------
-# Method name -> tape op name; each method creates exactly one tape node
-# with that name, so timed seconds line up with on_forward call counts.
-_TIMED_METHODS: dict[str, str] = {
-    "__add__": "add", "__neg__": "neg", "__mul__": "mul",
-    "__truediv__": "div", "__pow__": "pow",
-    "exp": "exp", "log": "log", "tanh": "tanh", "relu": "relu",
-    "gelu": "gelu", "sigmoid": "sigmoid",
-    "matmul": "matmul", "sum": "sum", "max": "max",
-    "reshape": "reshape", "transpose": "transpose",
-    "__getitem__": "getitem", "take_rows": "take_rows",
-    "softmax": "softmax", "log_softmax": "log_softmax",
-    "masked_fill": "masked_fill", "cross_entropy": "cross_entropy",
-}
-_TIMED_STATIC_METHODS: dict[str, str] = {
-    "concatenate": "concatenate", "stack": "stack",
-}
-
 _ACTIVE: TapeProfile | None = None
-
-
-def _timed(profile_obj: TapeProfile, op: str,
-           fn: Callable[..., Any]) -> Callable[..., Any]:
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        start = time.perf_counter()
-        out = fn(*args, **kwargs)
-        profile_obj.add_forward_time(op, time.perf_counter() - start)
-        return out
-    wrapper.__name__ = getattr(fn, "__name__", op)
-    return wrapper
-
-
-def _install_patches(profile_obj: TapeProfile) -> dict[str, Any]:
-    originals: dict[str, Any] = {}
-    for method, op in _TIMED_METHODS.items():
-        originals[method] = Tensor.__dict__[method]
-        setattr(Tensor, method, _timed(profile_obj, op, originals[method]))
-    for method, op in _TIMED_STATIC_METHODS.items():
-        originals[method] = Tensor.__dict__[method]
-        setattr(Tensor, method,
-                staticmethod(_timed(profile_obj, op,
-                                    originals[method].__func__)))
-    return originals
-
-
-def _remove_patches(originals: dict[str, Any]) -> None:
-    for method, original in originals.items():
-        setattr(Tensor, method, original)
 
 
 @contextmanager
 def profile(registry: MetricsRegistry | None = None,
             emit: bool = True) -> Iterator[TapeProfile]:
-    """Profile every tape op executed inside the ``with`` block.
+    """Profile every op executed inside the ``with`` block, in any mode.
 
     Parameters
     ----------
@@ -190,13 +132,11 @@ def profile(registry: MetricsRegistry | None = None,
         raise RuntimeError("profile() regions do not nest")
     profile_obj = TapeProfile()
     _ACTIVE = profile_obj
-    previous_hook = _tensor_mod.set_tape_hook(profile_obj)
-    originals = _install_patches(profile_obj)
+    previous_hook = set_tape_hook(profile_obj)
     try:
         yield profile_obj
     finally:
-        _remove_patches(originals)
-        _tensor_mod.set_tape_hook(previous_hook)
+        set_tape_hook(previous_hook)
         _ACTIVE = None
         if emit:
             target = registry or get_registry()

@@ -24,7 +24,6 @@ import numpy as np
 from ..corpus import Entity, KnowledgeBase
 from ..eval import accuracy
 from ..models import Turl
-from ..nn import no_grad
 from ..tables import Table
 from ..text import normalize_text, word_tokenize
 
@@ -104,8 +103,7 @@ class EntityLinker:
 
     # ------------------------------------------------------------------
     def _mention_vector(self, example: LinkingExample) -> np.ndarray | None:
-        with no_grad():
-            encoding = self.model.encode(example.table)
+        encoding = self.model.encode(example.table)
         return encoding.cell_embeddings.get((example.row, example.column))
 
     def link(self, example: LinkingExample) -> int | None:

@@ -1,5 +1,7 @@
 """Tape sanitizer: planted wiring bugs must be diagnosed by name."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.analysis import (
     sanitize_tape,
     trace_tape,
 )
-from repro.nn import Linear, Tensor
+from repro.nn import Linear, Tensor, inference_mode
 from repro.nn.tensor import set_tape_hook
 from repro.runtime import MetricsRegistry
 
@@ -111,6 +113,24 @@ def test_trace_tape_restores_previous_hook():
         assert outer.forward_ops == 2
     finally:
         set_tape_hook(previous)
+
+
+def test_op_counter_sees_inference_mode_forwards():
+    """repro check's zero-forward guard also sees tape-free forwards."""
+    layer = Linear(4, 2, RNG)
+    x = Tensor(RNG.normal(size=(3, 4)))
+    counts = []
+    for mode in (nullcontext, inference_mode):
+        counter = OpCounter()
+        previous = set_tape_hook(counter)
+        try:
+            with mode():
+                layer(x)
+        finally:
+            set_tape_hook(previous)
+        counts.append(counter.forward_ops)
+    assert counts[1] > 0
+    assert counts[1] == counts[0]
 
 
 def test_emit_routes_through_metrics_registry():

@@ -212,6 +212,26 @@ class TestWorkerDescriptors:
         assert (resolved_a.masked.batch.token_ids
                 == resolved_b.masked.batch.token_ids).all()
 
+    def test_rebinding_a_corpus_reaches_the_workers(
+            self, make_model, stream_factory, tmp_path):
+        """Workers resolve descriptors against the corpus they forked
+        with.  Two steps on one stream and two on another must train the
+        same bytes with 2 workers as with 1."""
+        archives = {}
+        for workers in (1, 2):
+            trainer = Pretrainer(make_model(), pretrain_config(workers),
+                                 clock=FixedClock())
+            first, second = (stream_factory("wiki", seed=seed)
+                             for seed in (0, 1))
+            try:
+                for corpus in (first, first, second, second):
+                    trainer.train_step(corpus)
+            finally:
+                trainer.close()
+            archives[workers] = trainer.save_checkpoint(
+                tmp_path / f"w{workers}").read_bytes()
+        assert archives[2] == archives[1]
+
 
 class TestEmptyCorpus:
     def test_empty_list_rejected_up_front(self, make_model):

@@ -102,8 +102,8 @@ class TestTabbie:
         """Averaged output must differ from either single view."""
         model = Tabbie(config, tokenizer, np.random.default_rng(0))
         batch, _ = model.batch([sample_table])
-        from repro.nn import no_grad
-        with no_grad():
+        from repro.nn import inference_mode
+        with inference_mode():
             combined = model(batch).data
             row_only = model.encoder(model.embed(batch),
                                      mask=horizontal_mask(batch)).data
@@ -133,8 +133,8 @@ class TestTuta:
         tuta = Tuta(config, tokenizer, np.random.default_rng(0),
                     distance_strength=0.0)
         batch, _ = tuta.batch([sample_table])
-        from repro.nn import no_grad
-        with no_grad():
+        from repro.nn import inference_mode
+        with inference_mode():
             biased = tuta(batch).data
             plain = tuta.encoder(tuta.embed(batch),
                                  mask=dense_mask(batch)).data

@@ -9,7 +9,6 @@ from repro.nn import (
     Linear,
     Tensor,
     inference_mode,
-    is_grad_enabled,
     is_inference_mode,
 )
 from repro.text import train_tokenizer
@@ -18,21 +17,21 @@ from repro.text import train_tokenizer
 class TestFlagSemantics:
     def test_default_off(self):
         assert not is_inference_mode()
-        assert is_grad_enabled()
+        assert Tensor(1.0, requires_grad=True).requires_grad
 
     def test_enters_and_restores(self):
         with inference_mode():
             assert is_inference_mode()
-            assert not is_grad_enabled()
+            assert not Tensor(1.0, requires_grad=True).requires_grad
         assert not is_inference_mode()
-        assert is_grad_enabled()
+        assert Tensor(1.0, requires_grad=True).requires_grad
 
     def test_restores_on_exception(self):
         with pytest.raises(RuntimeError):
             with inference_mode():
                 raise RuntimeError("boom")
         assert not is_inference_mode()
-        assert is_grad_enabled()
+        assert Tensor(1.0, requires_grad=True).requires_grad
 
     def test_nesting(self):
         with inference_mode():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, no_grad, is_grad_enabled
+from repro.nn import Tensor, inference_mode, is_inference_mode
 
 from tests.gradcheck import check_gradient
 
@@ -288,13 +288,13 @@ class TestBackwardMechanics:
         y.backward(np.array([1.0]))
         np.testing.assert_allclose(x.grad, [1.01**50], rtol=1e-10)
 
-    def test_no_grad_disables_tape(self):
+    def test_inference_mode_disables_tape(self):
         x = Tensor(random(2, 2), requires_grad=True)
-        with no_grad():
-            assert not is_grad_enabled()
+        with inference_mode():
+            assert is_inference_mode()
             y = x * 2
         assert not y.requires_grad
-        assert is_grad_enabled()
+        assert not is_inference_mode()
 
     def test_detach_cuts_graph(self):
         x = Tensor(random(2, 2), requires_grad=True)

@@ -5,8 +5,17 @@ import time
 import numpy as np
 import pytest
 
-from repro.nn import Encoder, Tensor, cross_entropy, get_tape_hook
+from repro.corpus import NLIExample
+from repro.nn import (
+    Encoder,
+    Tensor,
+    cross_entropy,
+    get_tape_hook,
+    inference_mode,
+)
 from repro.runtime import InMemorySink, MetricsRegistry, profile
+from repro.serve import InferenceEngine
+from repro.tasks import NliClassifier
 
 
 def small_workload():
@@ -78,21 +87,52 @@ class TestProfileCollection:
         assert stat.forward_seconds > 0
 
 
+def assert_rows_consistent(prof):
+    """Every timed row counts the calls and bytes it timed."""
+    assert prof.stats
+    for stat in prof.stats.values():
+        if stat.forward_seconds > 0:
+            assert stat.calls > 0 and stat.bytes > 0, stat
+
+
+class TestInferenceMode:
+    """The tape is off, but the op hook still sees every op."""
+
+    def test_matmul_counted(self):
+        a = Tensor(np.random.default_rng(0).normal(size=(64, 64)))
+        with profile(emit=False) as prof:
+            with inference_mode():
+                a @ a
+        stat = prof.stats["matmul"]
+        assert (stat.calls, stat.bytes) == (1, 64 * 64 * 8)
+        assert stat.forward_seconds > 0
+        assert_rows_consistent(prof)
+
+    def test_one_engine_request(self, bert, wiki_tables):
+        engine = InferenceEngine(
+            {"nli": NliClassifier(bert, np.random.default_rng(0))})
+        example = NLIExample(wiki_tables[0], "a statement", 0)
+        with profile(emit=False) as prof:
+            engine.process([("nli", example)])
+        assert prof.stats["matmul"].calls >= 4
+        assert prof.stats["softmax"].calls >= 1
+        assert_rows_consistent(prof)
+
+
 class TestProfileHygiene:
     def test_hook_and_methods_restored(self):
+        # The hook is the only thing profile() installs: no Tensor
+        # method is replaced, even inside the region.
         original_add = Tensor.__dict__["__add__"]
-        with profile(emit=False):
-            assert Tensor.__dict__["__add__"] is not original_add
-            assert get_tape_hook() is not None
-        assert Tensor.__dict__["__add__"] is original_add
+        with profile(emit=False) as prof:
+            assert get_tape_hook() is prof
+            assert Tensor.__dict__["__add__"] is original_add
         assert get_tape_hook() is None
 
     def test_restored_after_exception(self):
-        original_add = Tensor.__dict__["__add__"]
         with pytest.raises(RuntimeError):
             with profile(emit=False):
                 raise RuntimeError("boom")
-        assert Tensor.__dict__["__add__"] is original_add
         assert get_tape_hook() is None
 
     def test_nested_profile_rejected(self):
