@@ -1,23 +1,29 @@
-"""Pretraining loss computation over masked batches."""
+"""Pretraining loss computation over gathered target rows."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .masking import IGNORE_INDEX, MaskedBatch
+from .masking import IGNORE_INDEX
 from ..nn import Tensor, cross_entropy
 
 __all__ = ["mlm_loss", "mer_loss", "masked_accuracy"]
 
 
-def mlm_loss(logits: Tensor, masked: MaskedBatch) -> Tensor:
-    """Cross entropy at MLM-masked positions (0 if none were masked)."""
-    return cross_entropy(logits, masked.mlm_targets, ignore_index=IGNORE_INDEX)
+def mlm_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Cross entropy of ``(n, vocab)`` logits at the MLM target rows.
+
+    ``targets`` are the ``n`` gathered MLM targets; 0 when ``n`` is 0.
+    """
+    return cross_entropy(logits, targets, ignore_index=IGNORE_INDEX)
 
 
-def mer_loss(logits: Tensor, masked: MaskedBatch) -> Tensor:
-    """Cross entropy at MER-masked positions (0 if none were masked)."""
-    return cross_entropy(logits, masked.mer_targets, ignore_index=IGNORE_INDEX)
+def mer_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Cross entropy of ``(n, entities)`` logits at the MER target rows.
+
+    ``targets`` are the ``n`` gathered MER targets; 0 when ``n`` is 0.
+    """
+    return cross_entropy(logits, targets, ignore_index=IGNORE_INDEX)
 
 
 def masked_accuracy(logits: Tensor | np.ndarray, targets: np.ndarray) -> float:

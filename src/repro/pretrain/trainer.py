@@ -679,6 +679,11 @@ class Pretrainer:
         mean-over-targets objective.  Streamed runs ship
         :class:`_ShardDescriptor` references instead of batch slices;
         they are resolved (regenerated) here first.
+
+        Each head runs on its objective's target rows only, gathered from
+        the flattened hidden states: about one position in twenty carries
+        a target, and the ignored rows' logits would only be dropped by
+        the loss.
         """
         if isinstance(payload, _ShardDescriptor):
             payload = self._resolve_descriptor(payload)
@@ -689,6 +694,7 @@ class Pretrainer:
         if payload.mlm_weight == 0.0 and payload.mer_weight == 0.0:
             return None, stats
         hidden = self.model(masked.batch)
+        flat = hidden.reshape(-1, hidden.shape[-1])
         objectives = (
             ("mlm", payload.mlm_weight, self.mlm_head, mlm_loss,
              masked.mlm_targets),
@@ -698,14 +704,14 @@ class Pretrainer:
         for name, weight, head, objective, targets in objectives:
             if weight == 0.0:
                 continue
-            logits = head(hidden)
-            loss = objective(logits, masked) * weight
+            rows = np.flatnonzero(targets != IGNORE_INDEX)
+            gathered = targets.reshape(-1)[rows]
+            logits = head(flat.take_rows(rows))
+            loss = objective(logits, gathered) * weight
             stats[f"{name}_loss"] = float(loss.data)
-            keep = targets != IGNORE_INDEX
-            predicted = logits.data.argmax(axis=-1)
             stats[f"{name}_correct"] = int(
-                (predicted[keep] == targets[keep]).sum())
-            stats[f"{name}_count"] = int(keep.sum())
+                (logits.data.argmax(axis=-1) == gathered).sum())
+            stats[f"{name}_count"] = len(rows)
             total = loss if total is None else total + loss
         return total, stats
 

@@ -9,6 +9,7 @@ archives, for all three generators, serial and 4-worker runs, a
 fault-injected run, and finite and mid-infinite-stream resumes.
 """
 
+import functools
 import pickle
 
 import pytest
@@ -104,6 +105,27 @@ class TestStreamedVsMaterialized:
         resumed.train(stream_factory("wiki"))
         actual = resumed.save_checkpoint(tmp_path / "resumed").read_bytes()
         assert actual == reference
+
+
+class TestTurlStreamedShards:
+    """TURL trains MLM and MER: its entity-recovery rows are gathered from
+    shards that workers regenerate from descriptors, also after a kill."""
+
+    @pytest.mark.parametrize("faults", (None, "die@5:1"),
+                             ids=("workers4", "die@5:1"))
+    def test_checkpoint_bytes_equal_materialized(self, faults, make_model,
+                                                 stream_factory, tmp_path):
+        make_turl = functools.partial(make_model, "turl")
+        expected = checkpoint_bytes(
+            make_turl, stream_factory("wiki").materialize(),
+            pretrain_config(4), tmp_path, "mat")
+        plan = None if faults is None else parse_fault_plan(faults)
+        trainer = Pretrainer(make_turl(), pretrain_config(4, faults=plan),
+                             clock=FixedClock())
+        history = trainer.train(stream_factory("wiki"))
+        assert all(record.mer_loss > 0 for record in history)
+        actual = trainer.save_checkpoint(tmp_path / "stream").read_bytes()
+        assert actual == expected
 
 
 class TestInfiniteStream:

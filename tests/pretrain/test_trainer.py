@@ -9,10 +9,11 @@ import pytest
 
 from repro.core import create_model
 from repro.corpus import build_coltype_dataset
+from repro.models import EntityRecoveryHead, MlmHead
 from repro.nn.io import write_npz_atomic
 from repro.parallel import FixedClock, ParallelConfig
 from repro.pretrain import PretrainConfig, Pretrainer, masked_accuracy, IGNORE_INDEX
-from repro.nn import Tensor
+from repro.nn import Tensor, cross_entropy
 from repro.tasks import ColumnTypePredictor, FinetuneConfig, \
     build_label_set, finetune
 
@@ -121,6 +122,99 @@ class TestPretrainerTurl:
         config = PretrainConfig(steps=3, batch_size=2, use_mlm=False)
         history = Pretrainer(turl, config).train(wiki_tables)
         assert all(r.mlm_loss == 0 for r in history)
+
+
+class TestGatheredHeads:
+    """The heads run on the target rows only; the objective is unchanged."""
+
+    @staticmethod
+    def _grads(trainer):
+        named = [(f"model.{n}", p)
+                 for n, p in trainer.model.named_parameters()]
+        named += [(f"mlm_head.{n}", p)
+                  for n, p in trainer.mlm_head.named_parameters()]
+        grads = {name: None if p.grad is None else p.grad.copy()
+                 for name, p in named}
+        for _, p in named:
+            p.zero_grad()
+        return grads
+
+    @staticmethod
+    def _full_position_reference(trainer, payload):
+        # Every position through the head, ignored ones dropped by the
+        # loss: the objective as it was before the gather.
+        masked = payload.masked
+        hidden = trainer.model(masked.batch)
+        stats, total = {}, None
+        for name, weight, head, targets in (
+                ("mlm", payload.mlm_weight, trainer.mlm_head,
+                 masked.mlm_targets),
+                ("mer", payload.mer_weight,
+                 getattr(trainer.model, "mer_head", None),
+                 masked.mer_targets)):
+            if weight == 0.0:
+                continue
+            logits = head(hidden)
+            loss = cross_entropy(logits, targets,
+                                 ignore_index=IGNORE_INDEX) * weight
+            keep = targets != IGNORE_INDEX
+            predicted = logits.data.argmax(axis=-1)
+            stats[f"{name}_correct"] = int(
+                (predicted[keep] == targets[keep]).sum())
+            stats[f"{name}_count"] = int(keep.sum())
+            total = loss if total is None else total + loss
+        return total, stats
+
+    @pytest.mark.parametrize("name", ["turl", "bert"])
+    def test_gathered_heads_equal_full_position_objective(
+            self, name, tokenizer, config, wiki_tables, monkeypatch):
+        trainer = Pretrainer(
+            create_model(name, tokenizer, config=config, seed=0),
+            PretrainConfig(batch_size=8, mask_probability=0.3,
+                           mer_mask_probability=0.5, seed=0))
+        masked = trainer._masked_batch(wiki_tables[:8],
+                                       np.random.default_rng(3))
+        (payload,) = trainer._payloads(masked, masked.batch.batch_size)
+        objectives = ["mlm", "mer"] if name == "turl" else ["mlm"]
+        assert payload.mlm_weight == 1.0
+        assert payload.mer_weight == (1.0 if name == "turl" else 0.0)
+
+        reference, expected_stats = self._full_position_reference(
+            trainer, payload)
+        reference.backward()
+        expected_grads = self._grads(trainer)
+
+        rows = {}
+
+        def spy(label, forward):
+            def wrapped(head, hidden):
+                rows.setdefault(label, []).append(hidden.shape)
+                return forward(head, hidden)
+            return wrapped
+
+        monkeypatch.setattr(MlmHead, "forward",
+                            spy("mlm", MlmHead.forward))
+        monkeypatch.setattr(EntityRecoveryHead, "forward",
+                            spy("mer", EntityRecoveryHead.forward))
+        loss, stats = trainer._shard_loss(payload)
+        loss.backward()
+        grads = self._grads(trainer)
+
+        assert rows == {
+            label: [(getattr(masked, f"num_{label}_targets"), config.dim)]
+            for label in objectives}
+        np.testing.assert_allclose(loss.data, reference.data, rtol=1e-12)
+        for label in objectives:
+            for key in ("correct", "count"):
+                assert (stats[f"{label}_{key}"]
+                        == expected_stats[f"{label}_{key}"])
+        assert stats["mlm_count"] == masked.num_mlm_targets > 0
+        for param, expected in expected_grads.items():
+            if expected is None:
+                assert grads[param] is None, param
+            else:
+                np.testing.assert_allclose(grads[param], expected,
+                                           rtol=1e-9, err_msg=param)
 
 
 class TestSanitizeCheck:
