@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --inject-faults stages deterministic worker failures
     # (KIND@STEP:WORKER[:SECONDS], comma-separated; kinds die/hang/delay)
     # and --step-deadline bounds how long the supervisor waits for one
-    # dispatched wave before reaping the worker.
+    # dispatched step before reaping the worker.
     pretrain.add_argument("--inject-faults", default=None, metavar="PLAN",
                           help=argparse.SUPPRESS)
     pretrain.add_argument("--step-deadline", type=float, default=None,

@@ -13,9 +13,9 @@ for its per-split generators.  The spawn key makes shard generation a
 pure function of ``(corpus_seed, shard_index)``:
 
 - **order-free**: shards can be generated in any order, repeatedly, on
-  any process, and always contain the same tables (this is what lets
-  the elastic workers regenerate a lost shard bit-identically instead
-  of shipping pickled tables over pipes);
+  any process, and always contain the same tables (this is what lets a
+  bounded window evict a shard and regenerate it bit-identically on the
+  next lookup);
 - **prefix-stable**: the first ``k`` full shards of a corpus do not
   depend on the corpus size, so growing a corpus never perturbs
   training runs over its prefix;

@@ -69,8 +69,3 @@ class Turl(TableEncoder):
         if self.config.numeric_features:
             total = total + self.numeric_projection(Tensor(batch.numeric_features))
         return self.embedding_dropout(self.embedding_norm(total))
-
-    def pretraining_logits(self, batch: BatchedFeatures) -> tuple[Tensor, Tensor]:
-        """One shared forward pass feeding both pretraining heads."""
-        hidden = self.forward(batch)
-        return self.mlm_head(hidden), self.mer_head(hidden)

@@ -28,13 +28,7 @@ Quickstart::
 from .config import DEFAULT_SHARDS, FixedClock, ParallelConfig
 from .engine import DataParallelEngine, EngineStep
 from .faults import FaultPlan, FaultSpec, parse_fault_plan
-from .plan import (
-    ShardPlan,
-    assign_round_robin,
-    plan_shards,
-    shard_slices,
-    split_waves,
-)
+from .plan import assign_round_robin, shard_slices
 from .reduce import tree_combine, tree_reduce_grads
 from .workers import WorkerError, WorkerFailedError, WorkerHandle, WorkerPool
 
@@ -42,8 +36,7 @@ __all__ = [
     "ParallelConfig", "FixedClock", "DEFAULT_SHARDS",
     "DataParallelEngine", "EngineStep",
     "FaultPlan", "FaultSpec", "parse_fault_plan",
-    "ShardPlan", "plan_shards", "shard_slices", "split_waves",
-    "assign_round_robin",
+    "shard_slices", "assign_round_robin",
     "tree_combine", "tree_reduce_grads",
     "WorkerError", "WorkerFailedError", "WorkerHandle", "WorkerPool",
 ]

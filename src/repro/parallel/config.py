@@ -39,11 +39,6 @@ class ParallelConfig:
         Rows per micro-shard.  ``0`` (auto) resolves to
         ``ceil(batch_size / DEFAULT_SHARDS)``; the resolution never
         looks at ``workers``.
-    accumulate:
-        Number of sequential dispatch waves a step's shards are split
-        into.  Purely a scheduling/memory knob: all shard gradients
-        still enter one fixed-order reduction tree, so ``accumulate``
-        does not change a single bit of the combined gradient.
     heartbeat_interval:
         Seconds between liveness frames a busy worker emits.  ``0``
         disables heartbeats (hang detection then rests on the step
@@ -52,7 +47,7 @@ class ParallelConfig:
         Silence (no frame of any kind from a dispatched worker) after
         which the supervisor declares the process wedged and reaps it.
     step_deadline:
-        Wall-clock budget for one dispatched wave assignment; a worker
+        Wall-clock budget for one dispatched shard assignment; a worker
         that has not replied within it is reaped even if it still
         heartbeats (slow-degenerate case).  ``0`` disables deadlines.
     max_respawns:
@@ -74,7 +69,6 @@ class ParallelConfig:
 
     workers: int = 1
     shard_size: int = 0
-    accumulate: int = 1
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 10.0
     step_deadline: float = 120.0
@@ -87,8 +81,6 @@ class ParallelConfig:
             raise ValueError("workers must be positive")
         if self.shard_size < 0:
             raise ValueError("shard_size must be non-negative (0 = auto)")
-        if self.accumulate < 1:
-            raise ValueError("accumulate must be positive")
         if self.heartbeat_interval < 0 or self.heartbeat_timeout <= 0:
             raise ValueError("heartbeat_interval must be >= 0 and "
                              "heartbeat_timeout > 0")

@@ -51,7 +51,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .config import ParallelConfig
-from .plan import assign_round_robin, split_waves
+from .plan import assign_round_robin
 from .reduce import tree_reduce_grads
 from .workers import SUPERVISOR_COUNTERS, WorkerFailedError, WorkerPool
 from ..runtime import get_registry, telemetry_enabled
@@ -146,34 +146,26 @@ class DataParallelEngine:
         if not payloads:
             raise ValueError("engine step needs at least one shard payload")
         num_shards = len(payloads)
-        waves = split_waves(num_shards, self.config.accumulate)
+        shards = list(enumerate(payloads))
         step_index = self._steps
         self._steps += 1
 
-        raw: list[_RawResult] = []
-        if self.config.workers == 1:
-            for wave in waves:
-                raw.extend(self._run_inline(
-                    [(i, payloads[i]) for i in wave]))
-        else:
+        live: list[int] = []
+        if self.config.workers > 1:
             pool = self._ensure_pool()
             pool.start()
+            live = pool.live_slots()
+        if not live:
+            raw = self._run_inline(shards)
+        else:
             params = [parameter.data for parameter in self.parameters]
-            synced: set[int] = set()
-            for wave in waves:
-                live = pool.live_slots()
-                if not live:
-                    raw.extend(self._run_inline(
-                        [(i, payloads[i]) for i in wave]))
-                    continue
-                pending: dict[int, list[tuple[int, Any]]] = {}
-                assignment = assign_round_robin(wave, len(live))
-                for position, shard_ids in sorted(assignment.items()):
-                    self._dispatch(live[position], step_index,
-                                   [(i, payloads[i]) for i in shard_ids],
-                                   pending, synced, params)
-                raw.extend(self._collect(pending, step_index, synced,
-                                         params))
+            pending: dict[int, list[tuple[int, Any]]] = {}
+            assignment = assign_round_robin(range(num_shards), len(live))
+            for position, shard_ids in sorted(assignment.items()):
+                self._dispatch(live[position], step_index,
+                               [shards[i] for i in shard_ids],
+                               pending, params)
+            raw = self._collect(pending, step_index, params)
 
         started = time.perf_counter()
         combined = tree_reduce_grads(
@@ -200,15 +192,16 @@ class DataParallelEngine:
     # -- elastic supervision --------------------------------------------
     def _dispatch(self, slot: int, step: int, shards: list[tuple[int, Any]],
                   pending: dict[int, list[tuple[int, Any]]],
-                  synced: set[int], params: list[np.ndarray]) -> None:
-        """Send an assignment; the parameters ride on a slot's first one."""
-        self._pool.send(slot, step, None if slot in synced else params,
-                        shards)
-        synced.add(slot)
+                  params: list[np.ndarray]) -> None:
+        """Send an assignment with the step-start parameters.
+
+        A slot receives one assignment per step (a replacement receives
+        its lost predecessor's), so every assignment carries them.
+        """
+        self._pool.send(slot, step, params, shards)
         pending[slot] = shards
 
     def _collect(self, pending: dict[int, list[tuple[int, Any]]], step: int,
-                 synced: set[int],
                  params: list[np.ndarray]) -> list[_RawResult]:
         """Gather replies, re-executing the shards of failed workers.
 
@@ -234,9 +227,8 @@ class DataParallelEngine:
                 if reason is None:
                     continue
                 lost = pending.pop(slot)
-                synced.discard(slot)
                 if pool.replace(slot, reason):
-                    self._dispatch(slot, step, lost, pending, synced, params)
+                    self._dispatch(slot, step, lost, pending, params)
                 else:
                     results.extend(self._run_inline(lost))
             if pending:

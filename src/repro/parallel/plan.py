@@ -1,38 +1,14 @@
 """Shard planning: how a batch is cut and scheduled, deterministically.
 
-A :class:`ShardPlan` is a pure function of ``(batch_size, shard_size,
-accumulate)``.  Worker count never appears here: workers only pick
+The cut (:func:`shard_slices`) is a pure function of ``(batch_size,
+shard_size)``.  Worker count never appears there: workers only pick
 shards up round-robin (:func:`assign_round_robin`), they never influence
 the decomposition itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["ShardPlan", "plan_shards", "shard_slices", "split_waves",
-           "assign_round_robin"]
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """The deterministic decomposition of one optimizer step.
-
-    ``slices`` are contiguous row ranges of the batch, in batch order;
-    ``waves`` groups shard *indices* into sequential dispatch rounds
-    (``accumulate`` of them).  Waves bound how much payload is in flight
-    at once; they never change gradient numerics because the reduction
-    tree runs once over all shards at the end of the step.
-    """
-
-    batch_size: int
-    shard_size: int
-    slices: tuple[slice, ...]
-    waves: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.slices)
+__all__ = ["shard_slices", "assign_round_robin"]
 
 
 def shard_slices(batch_size: int, shard_size: int) -> tuple[slice, ...]:
@@ -43,35 +19,6 @@ def shard_slices(batch_size: int, shard_size: int) -> tuple[slice, ...]:
         raise ValueError("shard_size must be positive")
     return tuple(slice(start, min(start + shard_size, batch_size))
                  for start in range(0, batch_size, shard_size))
-
-
-def split_waves(num_shards: int, accumulate: int) -> tuple[tuple[int, ...], ...]:
-    """Split shard indices into ``accumulate`` contiguous dispatch rounds.
-
-    Earlier rounds take the remainder, every round is non-empty, and
-    concatenating the waves always yields ``0..num_shards-1`` in order.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be positive")
-    indices = list(range(num_shards))
-    rounds = min(max(1, accumulate), num_shards)
-    base, extra = divmod(num_shards, rounds)
-    waves: list[tuple[int, ...]] = []
-    cursor = 0
-    for round_index in range(rounds):
-        take = base + (1 if round_index < extra else 0)
-        waves.append(tuple(indices[cursor:cursor + take]))
-        cursor += take
-    return tuple(waves)
-
-
-def plan_shards(batch_size: int, shard_size: int,
-                accumulate: int = 1) -> ShardPlan:
-    """Plan one step: slices plus ``accumulate`` contiguous waves."""
-    slices = shard_slices(batch_size, shard_size)
-    return ShardPlan(batch_size=batch_size, shard_size=shard_size,
-                     slices=slices,
-                     waves=split_waves(len(slices), accumulate))
 
 
 def assign_round_robin(indices: tuple[int, ...] | list[int],

@@ -11,8 +11,7 @@ arrival order) and folded pairwise, level by level —
     level 3:  (((g0+g1)+(g2+g3))+g4)
 
 The tree depends only on the number of shards, so the combined gradient
-is bit-identical for any worker count, any completion order, and any
-``accumulate`` wave split.
+is bit-identical for any worker count and any completion order.
 
 Gradients travel as ``dict[param_index, ndarray]`` rather than dense
 lists: a parameter a shard never touched simply has no entry, and the

@@ -161,7 +161,8 @@ class TrainerCheckpoint:
     @classmethod
     def load(cls, path: str | Path) -> "TrainerCheckpoint":
         """Read a checkpoint archive; raises :class:`CheckpointError` on
-        truncated/corrupt archives or a missing/unreadable meta entry."""
+        truncated/corrupt archives or a missing, unreadable or malformed
+        meta entry."""
         path = Path(path)
         arrays = read_npz_verified(path)
         if "meta" not in arrays:
@@ -174,6 +175,9 @@ class TrainerCheckpoint:
             raise CheckpointError(
                 f"checkpoint {path} meta entry is unreadable: {error}"
             ) from error
+        if not isinstance(meta, dict):
+            raise CheckpointError(
+                f"checkpoint {path} meta entry is not a JSON object")
         version = meta.get("format_version", 1)
         if version != TRAINER_CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -191,16 +195,30 @@ class TrainerCheckpoint:
         moments_v = [arrays[f"optim.v.{i}"]
                      for i in range(sum(1 for n in arrays
                                         if n.startswith("optim.v.")))]
-        optimizer_state = dict(meta["optimizer"], _m=moments_m, _v=moments_v)
-        return cls(
-            model_state=model_state,
-            head_state=head_state if meta.get("has_head") else None,
-            optimizer_state=optimizer_state,
-            rng_state=meta["rng_state"],
-            history=list(meta["history"]),
-            schedule_lr=float(meta["schedule_lr"]),
-            config=dict(meta.get("config", {})),
-        )
+        try:
+            optimizer = meta["optimizer"]
+            optimizer_state = {"lr": float(optimizer["lr"]),
+                               "step_count": int(optimizer["step_count"]),
+                               "_m": moments_m, "_v": moments_v}
+            history = meta["history"]
+            if not (isinstance(history, list)
+                    and all(isinstance(record, dict) for record in history)):
+                raise TypeError("history is not a list of objects")
+            # The trainer's generator is a PCG64; let it vet the state.
+            np.random.PCG64().state = meta["rng_state"]
+            return cls(
+                model_state=model_state,
+                head_state=head_state if meta.get("has_head") else None,
+                optimizer_state=optimizer_state,
+                rng_state=meta["rng_state"],
+                history=history,
+                schedule_lr=float(meta["schedule_lr"]),
+                config=dict(meta.get("config", {})),
+            )
+        except (KeyError, OverflowError, TypeError, ValueError) as error:
+            raise CheckpointError(
+                f"checkpoint {path} meta entry is malformed: "
+                f"{type(error).__name__}: {error}") from error
 
 
 @dataclass(frozen=True)
@@ -258,51 +276,27 @@ def _step_extras(totals: dict) -> dict:
 # ----------------------------------------------------------------------
 # Corpus sources: one batch-drawing protocol over lists and streams
 # ----------------------------------------------------------------------
-class _ListSource:
-    """Legacy whole-list corpus: random access over a ``list[Table]``."""
+class _SampledSource:
+    """Finite corpus: one uniform ``rng.choice`` draw per step.
 
-    streaming = False
-
-    def __init__(self, tables: list[Table]) -> None:
-        self.origin = tables
-        self.tables = tables
-        self.size = len(tables)
-
-    def draw(self, rng: np.random.Generator, batch_size: int,
-             step_index: int) -> list[Table]:
-        count = min(batch_size, self.size)
-        indices = rng.choice(self.size, size=count, replace=False)
-        return [self.tables[int(i)] for i in indices]
-
-    def checkpoint_info(self, completed_steps: int,
-                        batch_size: int) -> dict | None:
-        return None
-
-
-class _WindowSource:
-    """Finite stream: bounded-memory random access via a shard window.
-
-    Draws the *identical* RNG stream as :class:`_ListSource` over the
-    stream's materialization (same ``choice`` call, same index order),
-    then resolves indices through the LRU window instead of a list — so
-    a streamed run and a materialized run of the same finite corpus are
+    ``lookup`` resolves the drawn indices to tables: a ``list[Table]``
+    indexes in place, a finite stream goes through its bounded
+    :class:`ShardWindow`.  Both make the same ``choice`` call, so a
+    streamed run and a run over the stream's materialization are
     bit-identical, and the checkpoint carries no stream identity (the
     window is pure cache, i.e. scheduling, not numerics).
     """
 
-    streaming = True
-
-    def __init__(self, stream: StreamingCorpus, window: ShardWindow) -> None:
-        self.origin = stream
-        self.stream = stream
-        self.window = window
-        self.size = stream.size
+    def __init__(self, origin: "list[Table] | StreamingCorpus", size: int,
+                 lookup: Callable[[np.ndarray], list[Table]]) -> None:
+        self.origin = origin
+        self.size = size
+        self.lookup = lookup
 
     def draw(self, rng: np.random.Generator, batch_size: int,
              step_index: int) -> list[Table]:
         count = min(batch_size, self.size)
-        indices = rng.choice(self.size, size=count, replace=False)
-        return self.window.tables(indices)
+        return self.lookup(rng.choice(self.size, size=count, replace=False))
 
     def checkpoint_info(self, completed_steps: int,
                         batch_size: int) -> dict | None:
@@ -320,7 +314,6 @@ class _SequentialSource:
     mid-stream bit-identically.
     """
 
-    streaming = True
     size = None
 
     def __init__(self, stream: StreamingCorpus, window: ShardWindow) -> None:
@@ -338,26 +331,6 @@ class _SequentialSource:
         return {"mode": "sequential",
                 "fingerprint": self.stream.fingerprint(),
                 "cursor": completed_steps * batch_size}
-
-
-@dataclass(frozen=True)
-class _ShardDescriptor:
-    """A regenerable reference to one micro-shard of a streamed batch.
-
-    Replaces the pickled :class:`_ShardPayload` on worker pipes when the
-    corpus is streamed and workers > 1: the worker re-draws the step's
-    batch from its fork-inherited corpus source under the parent's
-    captured RNG state, re-masks it, and row-slices its shard — all pure
-    functions, so a lost shard regenerates bit-identically on respawn
-    and step frames shrink from whole pickled batches to a few hundred
-    bytes of RNG state.
-    """
-
-    step: int
-    rng_state: dict
-    rows: tuple[int, int]
-    mlm_weight: float
-    mer_weight: float
 
 
 class Pretrainer:
@@ -399,8 +372,7 @@ class Pretrainer:
         self.health = self._loop.health
         self._last_good: TrainerCheckpoint | None = None
         self._shard_size = self._loop.shard_size(self.config.batch_size)
-        self._source: "_ListSource | _WindowSource | _SequentialSource | None" = None
-        self._desc_memo: tuple[int, MaskedBatch] | None = None
+        self._source: "_SampledSource | _SequentialSource | None" = None
         self._restored_stream: dict | None = None
 
     # ------------------------------------------------------------------
@@ -427,6 +399,8 @@ class Pretrainer:
         the model/optimizer (all offending keys listed).
         """
         try:
+            history = [TrainRecord.from_dict(d) for d in checkpoint.history]
+            schedule_lr = float(checkpoint.schedule_lr)
             self.model.load_state_dict(checkpoint.model_state)
             if checkpoint.head_state is not None:
                 if not self._external_head:
@@ -439,12 +413,12 @@ class Pretrainer:
                     "checkpoint has no external MLM head state but this "
                     "trainer needs one")
             self.optimizer.load_state_dict(checkpoint.optimizer_state)
-        except (KeyError, ValueError) as error:
+            self.rng.bit_generator.state = checkpoint.rng_state
+        except (KeyError, OverflowError, TypeError, ValueError) as error:
             raise CheckpointError(
                 f"checkpoint does not match the trainer: {error}") from error
-        self.rng.bit_generator.state = checkpoint.rng_state
-        self.schedule.lr = float(checkpoint.schedule_lr)
-        self.history = [TrainRecord.from_dict(d) for d in checkpoint.history]
+        self.schedule.lr = schedule_lr
+        self.history = history
         return len(self.history)
 
     def save_checkpoint(self, path: str | Path) -> Path:
@@ -533,11 +507,8 @@ class Pretrainer:
         A ``list[Table]`` samples in place; a finite stream samples
         through a bounded :class:`ShardWindow` with the identical RNG
         stream; an infinite stream is consumed in order via a derivable
-        cursor.  Rebinding happens only when a *different* corpus object
-        is offered — worker descriptors rely on the source being stable
-        across the steps of one ``train()`` run.  Workers forked against
-        the old source are closed, so the next step re-forks them with
-        the new one.
+        cursor.  Only the parent draws batches — workers receive masked
+        shard slices — so a rebind never touches the workers.
         """
         source = self._source
         if source is not None and source.origin is corpus:
@@ -548,14 +519,14 @@ class Pretrainer:
             if corpus.is_infinite:
                 source = _SequentialSource(corpus, window)
             else:
-                source = _WindowSource(corpus, window)
+                source = _SampledSource(corpus, corpus.size, window.tables)
         else:
-            source = _ListSource(corpus)
+            source = _SampledSource(
+                corpus, len(corpus),
+                lambda indices: [corpus[int(i)] for i in indices])
         if source.size == 0:
             raise EmptyCorpusError("pretraining corpus is empty")
-        self.close()
         self._source = source
-        self._desc_memo = None
         return source
 
     def _check_stream_resume(self, source) -> None:
@@ -583,12 +554,7 @@ class Pretrainer:
 
     def _masked_batch(self, tables: list[Table],
                       rng: np.random.Generator) -> MaskedBatch:
-        """Batch + mask ``tables`` drawing masking noise from ``rng``.
-
-        The generator is a parameter so worker-side shard regeneration
-        can replay a step's masking under a restored generator without
-        touching the trainer's own RNG stream.
-        """
+        """Batch + mask ``tables`` drawing masking noise from ``rng``."""
         batch, serialized = self.model.batch(tables)
         vocab = self.model.tokenizer.vocab
         use_mer = self.config.use_mer and self.supports_mer
@@ -647,46 +613,20 @@ class Pretrainer:
         """Release worker processes; a later step re-forks them lazily."""
         self._loop.close()
 
-    def _resolve_descriptor(self, desc: _ShardDescriptor) -> _ShardPayload:
-        """Regenerate a shard payload from its descriptor (pure).
-
-        Re-draws and re-masks the step's full batch under a throwaway
-        generator restored from the descriptor's RNG state — never the
-        trainer's own ``self.rng``, because this also runs in the
-        *parent* when the engine degrades to its in-process fallback —
-        then row-slices the shard.  The regenerated batch is memoized
-        per step so a worker resolving several shards of one step pays
-        for the batch once.
-        """
-        memo = self._desc_memo
-        if memo is None or memo[0] != desc.step:
-            rng = np.random.default_rng(0)
-            rng.bit_generator.state = desc.rng_state
-            tables = self._source.draw(rng, self.config.batch_size,
-                                       desc.step)
-            self._desc_memo = (desc.step, self._masked_batch(tables, rng))
-        masked = self._desc_memo[1]
-        shard = _slice_masked(masked, slice(desc.rows[0], desc.rows[1]))
-        return _ShardPayload(shard, desc.mlm_weight, desc.mer_weight)
-
-    def _shard_loss(self, payload: "_ShardPayload | _ShardDescriptor"
+    def _shard_loss(self, payload: _ShardPayload
                     ) -> tuple[Tensor | None, dict]:
         """The loss graph of one micro-shard (runs in-process or forked).
 
         Losses arrive pre-normalized (``payload.*_weight`` is this
         shard's share of the step's prediction targets), so the fixed-
         order sum of shard losses and gradients equals the batch's
-        mean-over-targets objective.  Streamed runs ship
-        :class:`_ShardDescriptor` references instead of batch slices;
-        they are resolved (regenerated) here first.
+        mean-over-targets objective.
 
         Each head runs on its objective's target rows only, gathered from
         the flattened hidden states: about one position in twenty carries
         a target, and the ignored rows' logits would only be dropped by
         the loss.
         """
-        if isinstance(payload, _ShardDescriptor):
-            payload = self._resolve_descriptor(payload)
         masked = payload.masked
         stats = {"mlm_loss": 0.0, "mer_loss": 0.0,
                  "mlm_correct": 0, "mlm_count": 0,
@@ -715,8 +655,8 @@ class Pretrainer:
             total = loss if total is None else total + loss
         return total, stats
 
-    def _payloads(self, masked: MaskedBatch, shard_size: int,
-                  step: int = 0, rng_state: dict | None = None) -> list:
+    def _payloads(self, masked: MaskedBatch,
+                  shard_size: int) -> list[_ShardPayload]:
         """Cut a masked batch into weighted shard payloads.
 
         Each objective's weight is the shard's share of the batch's
@@ -724,12 +664,6 @@ class Pretrainer:
         mean.  Empty when the batch has no prediction targets.  All RNG
         work already happened in the parent, so worker count cannot
         perturb the random stream.
-
-        With ``rng_state`` set (streamed corpus, workers > 1) the
-        payloads are :class:`_ShardDescriptor` references instead of
-        batch slices: workers regenerate their shards from the
-        fork-inherited corpus source, which keeps step frames small and
-        makes lost shards replayable bit-identically after a respawn.
         """
         use_mer = self.supports_mer and self.config.use_mer
         total_mlm = masked.num_mlm_targets if self.config.use_mlm else 0
@@ -743,20 +677,8 @@ class Pretrainer:
                           if total_mlm else 0.0)
             mer_weight = (shard.num_mer_targets / total_mer
                           if total_mer else 0.0)
-            if rng_state is not None:
-                payloads.append(_ShardDescriptor(
-                    step=step, rng_state=rng_state,
-                    rows=(rows.start, rows.stop),
-                    mlm_weight=mlm_weight, mer_weight=mer_weight))
-            else:
-                payloads.append(_ShardPayload(
-                    masked=shard, mlm_weight=mlm_weight,
-                    mer_weight=mer_weight))
-        if rng_state is not None:
-            # Seed the descriptor memo with the batch the parent already
-            # built, so the engine's degraded in-process fallback does
-            # not regenerate it (and provably cannot touch self.rng).
-            self._desc_memo = (step, masked)
+            payloads.append(_ShardPayload(
+                masked=shard, mlm_weight=mlm_weight, mer_weight=mer_weight))
         return payloads
 
     def train_step(self, corpus: "list[Table] | StreamingCorpus"
@@ -772,17 +694,12 @@ class Pretrainer:
         source = self._bind_source(corpus)
         step = len(self.history)
         started = self.clock()
-        ship_descriptors = (source.streaming
-                            and self.config.parallel is not None
-                            and self.config.parallel.workers > 1)
-        rng_state = (self.rng.bit_generator.state
-                     if ship_descriptors else None)
         masked = self._masked_batch(
             source.draw(self.rng, self.config.batch_size, step), self.rng)
         restore = (None if self._last_good is None
                    else functools.partial(self.restore, self._last_good))
         record, rolled_back = self._loop.step(
-            step, self._payloads(masked, self._shard_size, step, rng_state),
+            step, self._payloads(masked, self._shard_size),
             self._shard_loss, restore=restore, extras=_step_extras,
             started=started, tokens=int(masked.batch.token_ids.size))
         if not rolled_back:

@@ -236,6 +236,18 @@ class TestOperatorErrors:
              "--resume", str(tmp_path / "nope.npz"),
              "--out", str(tmp_path / "b")], capsys)
 
+    def test_pretrain_resume_malformed_meta(self, corpus_dir, tmp_path,
+                                            capsys):
+        from repro.nn.io import write_npz_atomic
+        import numpy as np
+
+        bad = write_npz_atomic(tmp_path / "bad.npz", {
+            "meta": np.array(json.dumps({"format_version": 1}))})
+        self._assert_fails_cleanly(
+            ["pretrain", str(corpus_dir), "--steps", "2", "--dim", "16",
+             "--layers", "1", "--resume", str(bad),
+             "--out", str(tmp_path / "b")], capsys)
+
     def test_encode_corrupt_bundle(self, corpus_dir, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         assert main(["pretrain", str(corpus_dir), "--model", "bert",

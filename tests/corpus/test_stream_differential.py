@@ -1,16 +1,17 @@
 """Differential equivalence: streamed training must equal materialized.
 
 The streaming layer's contract is "streamed ≡ materialized, any worker
-count, any failure": how a corpus is *delivered* — whole list, bounded
-shard window, regenerated in a respawned worker — is pure scheduling
-and must never move a checkpoint bit.  These tests enforce the contract
-at the strongest level available, the bytes of saved checkpoint
-archives, for all three generators, serial and 4-worker runs, a
-fault-injected run, and finite and mid-infinite-stream resumes.
+count, any failure": how a corpus is *delivered* — whole list or bounded
+shard window — is pure scheduling and must never move a checkpoint bit.
+The parent draws and masks every batch whatever the corpus, and workers
+receive its masked shard slices.  These tests enforce the contract at
+the strongest level available, the bytes of saved checkpoint archives,
+for all three generators, serial and 4-worker runs, fault-injected runs,
+an infinite stream under workers, and finite and mid-infinite-stream
+resumes.
 """
 
 import functools
-import pickle
 
 import pytest
 
@@ -76,9 +77,9 @@ class TestStreamedVsMaterialized:
 
     def test_fault_injected_run_regenerates_shards_bit_identically(
             self, make_model, stream_factory, tmp_path):
-        """die@5:1 kills worker 1 mid-run; the respawned worker rebuilds
-        its shards from descriptors against the regenerated stream, and
-        the checkpoint still byte-equals an unfaulted materialized run."""
+        """die@5:1 kills worker 1 mid-run; its replacement is sent the
+        lost shards' slices again, and the checkpoint still byte-equals
+        an unfaulted materialized run."""
         expected = checkpoint_bytes(
             make_model, stream_factory("wiki").materialize(),
             pretrain_config(4), tmp_path, "mat")
@@ -109,7 +110,7 @@ class TestStreamedVsMaterialized:
 
 class TestTurlStreamedShards:
     """TURL trains MLM and MER: its entity-recovery rows are gathered from
-    shards that workers regenerate from descriptors, also after a kill."""
+    the shard slices workers receive, also after a kill."""
 
     @pytest.mark.parametrize("faults", (None, "die@5:1"),
                              ids=("workers4", "die@5:1"))
@@ -129,6 +130,21 @@ class TestTurlStreamedShards:
 
 
 class TestInfiniteStream:
+    @pytest.mark.parametrize("faults", (None, "die@5:1"),
+                             ids=("workers4", "die@5:1"))
+    def test_workers_bytes_equal_serial(self, faults, make_model,
+                                        stream_factory, tmp_path):
+        """An infinite stream is drawn in order in the parent: 4 workers,
+        also with one killed at step 5, train the serial run's bytes."""
+        expected = checkpoint_bytes(
+            make_model, stream_factory("wiki", size=None), pretrain_config(1),
+            tmp_path, "serial")
+        plan = None if faults is None else parse_fault_plan(faults)
+        actual = checkpoint_bytes(
+            make_model, stream_factory("wiki", size=None),
+            pretrain_config(4, faults=plan), tmp_path, "workers")
+        assert actual == expected
+
     def test_mid_stream_resume_bit_identical(self, make_model,
                                              stream_factory, tmp_path):
         """Resume re-derives the cursor from the history length and
@@ -199,46 +215,14 @@ class TestCheckpointConfig:
 
 
 class TestWorkerDescriptors:
-    def test_descriptor_frames_shrink_payloads(self, make_model,
-                                               stream_factory):
-        """Streamed parallel steps ship RNG state, not pickled batches."""
-        from repro.pretrain.trainer import (_ShardDescriptor, _ShardPayload,
-                                            _slice_masked)
-
-        trainer = Pretrainer(make_model(), pretrain_config(2),
-                             clock=FixedClock())
-        source = trainer._bind_source(stream_factory("wiki"))
-        state = trainer.rng.bit_generator.state
-        masked = trainer._masked_batch(source.draw(trainer.rng, 4, 0),
-                                        trainer.rng)
-        payload = _ShardPayload(_slice_masked(masked, slice(0, 1)), 0.5, 0.0)
-        descriptor = _ShardDescriptor(0, state, (0, 1), 0.5, 0.0)
-        assert (len(pickle.dumps(descriptor))
-                < len(pickle.dumps(payload)) / 4)
-
-    def test_descriptor_resolution_leaves_trainer_rng_untouched(
-            self, make_model, stream_factory):
-        """Resolution must be safe in the *parent* (degraded fallback)."""
-        trainer = Pretrainer(make_model(), pretrain_config(2),
-                             clock=FixedClock())
-        source = trainer._bind_source(stream_factory("wiki"))
-        from repro.pretrain.trainer import _ShardDescriptor
-
-        state = trainer.rng.bit_generator.state
-        descriptor = _ShardDescriptor(0, state, (0, 2), 1.0, 0.0)
-        resolved_a = trainer._resolve_descriptor(descriptor)
-        assert trainer.rng.bit_generator.state == state
-        # Memoized: the same step resolves to the same regenerated batch.
-        trainer._desc_memo = None
-        resolved_b = trainer._resolve_descriptor(descriptor)
-        assert (resolved_a.masked.batch.token_ids
-                == resolved_b.masked.batch.token_ids).all()
+    """What workers are sent: the parent's masked shard slices, never a
+    reference into the corpus."""
 
     def test_rebinding_a_corpus_reaches_the_workers(
             self, make_model, stream_factory, tmp_path):
-        """Workers resolve descriptors against the corpus they forked
-        with.  Two steps on one stream and two on another must train the
-        same bytes with 2 workers as with 1."""
+        """Workers never read the corpus, so rebinding one needs no
+        re-fork.  Two steps on one stream and two on another must train
+        the same bytes with 2 workers as with 1."""
         archives = {}
         for workers in (1, 2):
             trainer = Pretrainer(make_model(), pretrain_config(workers),

@@ -132,10 +132,11 @@ class TestTurl:
         with pytest.raises(ValueError):
             Turl(config, tokenizer, np.random.default_rng(0))
 
-    def test_pretraining_logits_shapes(self, config, tokenizer, wiki_tables):
+    def test_pretraining_head_shapes(self, config, tokenizer, wiki_tables):
         model = build("turl", config, tokenizer)
         batch, _ = model.batch(wiki_tables[:2])
-        mlm, mer = model.pretraining_logits(batch)
+        hidden = model(batch)
+        mlm, mer = model.mlm_head(hidden), model.mer_head(hidden)
         assert mlm.shape == (2, batch.seq_len, config.vocab_size)
         assert mer.shape == (2, batch.seq_len, config.num_entities + 1)
 

@@ -20,9 +20,7 @@ from repro.parallel import (
     WorkerError,
     WorkerPool,
     assign_round_robin,
-    plan_shards,
     shard_slices,
-    split_waves,
     tree_combine,
     tree_reduce_grads,
 )
@@ -80,8 +78,6 @@ class TestConfig:
             ParallelConfig(workers=0)
         with pytest.raises(ValueError):
             ParallelConfig(shard_size=-1)
-        with pytest.raises(ValueError):
-            ParallelConfig(accumulate=0)
 
     def test_auto_shard_size_ignores_workers(self):
         for workers in (1, 2, 3, 4, 7):
@@ -103,16 +99,6 @@ class TestPlan:
         for piece in slices:
             covered.extend(range(piece.start, piece.stop))
         assert covered == list(range(10))
-
-    def test_waves_partition_contiguously(self):
-        waves = split_waves(5, 2)
-        assert waves == ((0, 1, 2), (3, 4))
-        assert split_waves(3, 10) == ((0,), (1,), (2,))
-
-    def test_plan_shards(self):
-        plan = plan_shards(batch_size=7, shard_size=2, accumulate=2)
-        assert plan.num_shards == 4
-        assert plan.waves == ((0, 1), (2, 3))
 
     def test_round_robin_skips_idle_workers(self):
         assignment = assign_round_robin([0, 1, 2], workers=4)
@@ -151,7 +137,7 @@ class TestReduce:
         assert set(combined) == {0, 1}
 
 
-def build_toy_engine(workers: int, accumulate: int = 1):
+def build_toy_engine(workers: int):
     params = [Parameter(np.arange(6, dtype=np.float64).reshape(2, 3)),
               Parameter(np.ones(3))]
 
@@ -161,9 +147,8 @@ def build_toy_engine(workers: int, accumulate: int = 1):
         loss.backward()
         return {"loss": float(loss.data)}
 
-    engine = DataParallelEngine(
-        params, compute, ParallelConfig(workers=workers,
-                                        accumulate=accumulate))
+    engine = DataParallelEngine(params, compute,
+                                ParallelConfig(workers=workers))
     return engine, params
 
 
@@ -186,16 +171,6 @@ class TestEngine:
                                   actual.grads[index])
         assert [s["loss"] for s in actual.stats] == \
             [s["loss"] for s in expected.stats]
-
-    def test_accumulate_waves_do_not_change_bits(self):
-        payloads = toy_payloads(5)
-        with build_toy_engine(2)[0] as flat:
-            expected = flat.step(payloads)
-        with build_toy_engine(2, accumulate=3)[0] as waved:
-            actual = waved.step(payloads)
-        for index in expected.grads:
-            assert np.array_equal(expected.grads[index],
-                                  actual.grads[index])
 
     def test_load_grads_preserves_none_semantics(self):
         engine, params = build_toy_engine(1)

@@ -1,10 +1,14 @@
 """Fault-tolerance tests: checkpoint/resume, crash recovery, health guard."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import repro.pretrain.trainer as trainer_module
 from repro.nn import CheckpointError
+from repro.nn.io import write_npz_atomic
 from repro.parallel import FixedClock, ParallelConfig
 from repro.pretrain import Pretrainer, PretrainConfig, TrainerCheckpoint
 from repro.runtime import (
@@ -161,6 +165,74 @@ class TestSnapshotsAndRecovery:
             steps=4, batch_size=2, checkpoint_every=2))
         trainer.train(wiki_tables, checkpoint_dir=tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def _rewrite_meta(path, mutate):
+    """Re-save ``path`` with its meta passed through ``mutate``.  The
+    manifest is rewritten too, so only the meta's shape is wrong."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = mutate(json.loads(str(arrays["meta"][()])))
+    arrays["meta"] = np.array(json.dumps(meta))
+    return write_npz_atomic(path, arrays)
+
+
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _with(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+#: A JSON-able state that numpy's PCG64 refuses (wrong generator).
+_FOREIGN_RNG_STATE = {"bit_generator": "MT19937",
+                      "state": {"key": [0] * 624, "pos": 624}}
+
+_MALFORMED_META = {
+    "not-an-object": lambda meta: [meta],
+    "no-optimizer": _without("optimizer"),
+    "no-rng-state": _without("rng_state"),
+    "no-history": _without("history"),
+    "no-schedule-lr": _without("schedule_lr"),
+    "history-not-a-list": _with("history", 5),
+    "schedule-lr-not-a-number": _with("schedule_lr", "fast"),
+    "rng-state-of-another-generator": _with("rng_state", _FOREIGN_RNG_STATE),
+}
+
+
+class TestMalformedMeta:
+    """Meta that parses as JSON but has the wrong shape makes the archive
+    an unusable checkpoint: ``CheckpointError``, never a traceback."""
+
+    @pytest.fixture
+    def snapshots(self, bert, wiki_tables, tmp_path):
+        trainer = Pretrainer(bert, PretrainConfig(
+            steps=2, batch_size=2, checkpoint_every=1))
+        trainer.train(wiki_tables, checkpoint_dir=tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("mutate", _MALFORMED_META.values(),
+                             ids=_MALFORMED_META)
+    def test_load_raises_checkpoint_error(self, mutate, snapshots):
+        path = _rewrite_meta(snapshots / "ckpt-00000002.npz", mutate)
+        with pytest.raises(CheckpointError, match="meta entry"):
+            TrainerCheckpoint.load(path)
+
+    def test_resume_falls_back_past_malformed_meta(self, bert, snapshots):
+        malformed = _rewrite_meta(snapshots / "ckpt-00000001.npz",
+                                  _without("optimizer"))
+        resumed = Pretrainer(bert, PretrainConfig(
+            steps=2, batch_size=2, checkpoint_every=1))
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert resumed.resume(malformed) == 2
+
+    def test_restore_rejects_foreign_rng_state(self, bert):
+        trainer = Pretrainer(bert, PretrainConfig(steps=2, batch_size=2))
+        checkpoint = dataclasses.replace(trainer.capture(),
+                                         rng_state=_FOREIGN_RNG_STATE)
+        with pytest.raises(CheckpointError, match="PCG64"):
+            trainer.restore(checkpoint)
 
 
 class TestHealthGuard:
