@@ -116,10 +116,12 @@ def save_pretrained(model: Module, directory: str | Path) -> Path:
 def load_pretrained(directory: str | Path) -> Module:
     """Reconstruct a model bundle written by :func:`save_pretrained`.
 
-    Corrupt bundles — unparseable or incomplete ``config.json``, a
-    truncated ``weights.npz``, a weight set that does not fit the model —
-    raise :class:`~repro.nn.CheckpointError` naming the problem instead
-    of surfacing raw JSON/zipfile/key errors.
+    Corrupt bundles — unparseable, incomplete or wrongly shaped
+    ``config.json`` or ``tokenizer.json``, a truncated ``weights.npz``, a
+    tokenizer or weight set that does not fit the model — raise
+    :class:`~repro.nn.CheckpointError` naming the problem instead of
+    surfacing raw JSON/zipfile/key/type errors.  An unsupported
+    ``format_version`` raises :class:`ValueError`.
     """
     directory = Path(directory)
     config_path = directory / "config.json"
@@ -132,6 +134,10 @@ def load_pretrained(directory: str | Path) -> Module:
         raise CheckpointError(
             f"bundle {directory} has a corrupt config.json: {error}"
         ) from error
+    if not isinstance(metadata, dict):
+        raise CheckpointError(
+            f"bundle {directory} has a corrupt config.json: not a JSON "
+            f"object")
     version = metadata.get("format_version", 1)
     if version not in _SUPPORTED_BUNDLE_VERSIONS:
         supported = sorted(_SUPPORTED_BUNDLE_VERSIONS)
@@ -145,7 +151,7 @@ def load_pretrained(directory: str | Path) -> Module:
         model = create_model(metadata["model_name"], tokenizer, config=config,
                              seed=metadata.get("seed", 0),
                              **metadata.get("kwargs", {}))
-    except (KeyError, json.JSONDecodeError, FileNotFoundError) as error:
+    except (KeyError, TypeError, ValueError, FileNotFoundError) as error:
         raise CheckpointError(
             f"bundle {directory} is incomplete or corrupt: {error}"
         ) from error

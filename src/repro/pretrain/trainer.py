@@ -15,8 +15,8 @@ The loop is fault-tolerant:
   bit-identically to one that was never interrupted;
 - snapshots are written every ``checkpoint_every`` steps via the atomic
   npz+manifest writer in :mod:`repro.nn.io`, with bounded retention
-  (``keep_checkpoints``), and resuming from a directory falls back to
-  the newest snapshot that still verifies;
+  (``keep_checkpoints``), and resuming falls back to the newest
+  snapshot that still loads;
 - every step runs through the :class:`~repro.trainloop.TrainLoop` that
   fine-tuning shares, whose :class:`~repro.runtime.HealthMonitor` checks
   loss and gradient norm; bad steps are skipped before they reach
@@ -48,7 +48,6 @@ from ..nn import clip_gradients  # noqa: F401
 from ..parallel import ParallelConfig, shard_slices
 from ..nn.io import (
     CheckpointError,
-    latest_valid_checkpoint,
     read_npz_verified,
     write_npz_atomic,
 )
@@ -428,31 +427,37 @@ class Pretrainer:
     def resume(self, path: str | Path) -> int:
         """Restore state from a checkpoint file or snapshot directory.
 
-        A directory resumes from its newest snapshot that verifies; an
-        explicit file that turns out corrupt falls back to the newest
-        valid sibling snapshot (warning) before giving up.  Returns the
+        A directory resumes from its newest snapshot that loads; an
+        explicit file that does not load falls back to the newest sibling
+        snapshot that does.  Passing over an unusable archive warns, and
+        only when no candidate loads does this raise.  Returns the
         restored step count.
         """
         path = Path(path)
-        if path.is_dir():
-            candidate = latest_valid_checkpoint(
-                path, pattern=f"{_CHECKPOINT_PREFIX}*.npz")
-            if candidate is None:
-                raise CheckpointError(
-                    f"no valid trainer checkpoint found in {path}")
-            checkpoint = TrainerCheckpoint.load(candidate)
-        else:
+        explicit = not path.is_dir()
+        directory = path.parent if explicit else path
+        candidates = sorted(directory.glob(f"{_CHECKPOINT_PREFIX}*.npz"),
+                            reverse=True)
+        if explicit:
+            candidates = [path] + [c for c in candidates if c != path]
+        unusable: tuple[Path, Exception] | None = None
+        for candidate in candidates:
             try:
-                checkpoint = TrainerCheckpoint.load(path)
+                checkpoint = TrainerCheckpoint.load(candidate)
             except (CheckpointError, FileNotFoundError) as error:
-                fallback = latest_valid_checkpoint(
-                    path.parent, pattern=f"{_CHECKPOINT_PREFIX}*.npz")
-                if fallback is None or fallback == path:
-                    raise
+                unusable = unusable or (candidate, error)
+                continue
+            if unusable is not None:
                 warnings.warn(
-                    f"checkpoint {path} is unusable ({error}); falling "
-                    f"back to {fallback}", RuntimeWarning, stacklevel=2)
-                checkpoint = TrainerCheckpoint.load(fallback)
+                    f"checkpoint {unusable[0]} is unusable ({unusable[1]}); "
+                    f"falling back to {candidate}", RuntimeWarning,
+                    stacklevel=2)
+            break
+        else:
+            if explicit:
+                raise unusable[1]
+            raise CheckpointError(
+                f"no valid trainer checkpoint found in {path}")
         self._check_config_compatible(checkpoint.config)
         step = self.restore(checkpoint)
         self._last_good = checkpoint

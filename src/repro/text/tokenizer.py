@@ -94,10 +94,23 @@ class WordPieceTokenizer:
 
     @classmethod
     def load(cls, path: str | Path) -> "WordPieceTokenizer":
-        payload = json.loads(Path(path).read_text())
+        """Read a file written by :meth:`save`; raises ``ValueError``
+        unless it holds a JSON object with an integer ``max_word_chars``
+        and a list of string ``tokens`` that starts with the specials."""
         from .vocab import SPECIAL_TOKENS
-        tokens = payload["tokens"][len(SPECIAL_TOKENS):]
-        return cls(Vocab(tokens), max_word_chars=payload["max_word_chars"])
+        payload = json.loads(Path(path).read_text())
+        if not (isinstance(payload, dict)
+                and isinstance(payload.get("tokens"), list)
+                and all(isinstance(token, str) for token in payload["tokens"])
+                and payload["tokens"][:len(SPECIAL_TOKENS)]
+                == list(SPECIAL_TOKENS)
+                and isinstance(payload.get("max_word_chars"), int)):
+            raise ValueError(
+                f"{path} is not a tokenizer file: expected a JSON object "
+                f"with an integer max_word_chars and a list of string "
+                f"tokens that starts with the reserved specials")
+        return cls(Vocab(payload["tokens"][len(SPECIAL_TOKENS):]),
+                   max_word_chars=payload["max_word_chars"])
 
 
 def _word_frequencies(texts: Iterable[str]) -> Counter:
@@ -107,6 +120,22 @@ def _word_frequencies(texts: Iterable[str]) -> Counter:
     return counts
 
 
+def _merge_pair(pieces: list[str], left: str, right: str,
+                new_piece: str) -> list[str]:
+    """``pieces`` with each ``left right`` occurrence, scanned left to right
+    without overlap, replaced by ``new_piece``."""
+    out: list[str] = []
+    i = 0
+    while i < len(pieces):
+        if i + 1 < len(pieces) and pieces[i] == left and pieces[i + 1] == right:
+            out.append(new_piece)
+            i += 2
+        else:
+            out.append(pieces[i])
+            i += 1
+    return out
+
+
 def train_tokenizer(texts: Iterable[str], vocab_size: int = 2000,
                     min_pair_frequency: int = 2) -> WordPieceTokenizer:
     """Learn a WordPiece vocabulary from raw texts.
@@ -114,44 +143,66 @@ def train_tokenizer(texts: Iterable[str], vocab_size: int = 2000,
     Starts from single characters (word-initial and ``##``-continuation
     forms) and repeatedly merges the most frequent adjacent pair until
     ``vocab_size`` is reached or no pair passes ``min_pair_frequency``.
-    """
-    word_freq = _word_frequencies(texts)
 
-    # Each word is a sequence of pieces; begin fully split into characters.
-    words: list[tuple[list[str], int]] = []
+    Pair counts are frequency-weighted and kept incrementally: a merge
+    rewrites only the words holding the merged pair and recounts their
+    pairs.  A tie goes to the pair that occurs first when the words are
+    scanned in first-seen order, each left to right, so the vocabulary is
+    the one a full recount per merge would learn.
+    """
+    # Each word's current pieces and frequency; the frequency-weighted
+    # count of every adjacent pair and the indices of the words holding it.
+    # A pair leaves both maps when no word holds it.
+    words: list[list[str]] = []
+    freqs: list[int] = []
+    pair_counts: dict[tuple[str, str], int] = {}
+    holders: dict[tuple[str, str], set[int]] = {}
+
+    def rewrite(index: int, pieces: list[str]) -> None:
+        """Replace word ``index``'s pieces, recounting all of its pairs
+        (a merge can remove overlapping occurrences, not just neighbours)."""
+        old, freq = words[index], freqs[index]
+        before, after = list(zip(old, old[1:])), list(zip(pieces, pieces[1:]))
+        for pair in before:
+            pair_counts[pair] -= freq
+        for pair in after:
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
+        for pair in set(before).difference(after):
+            holders[pair].discard(index)
+            if not holders[pair]:
+                del holders[pair], pair_counts[pair]
+        for pair in set(after).difference(before):
+            holders.setdefault(pair, set()).add(index)
+        words[index] = pieces
+
+    # Each word begins fully split into characters.
     alphabet: set[str] = set()
-    for word, freq in word_freq.items():
+    for word, freq in _word_frequencies(texts).items():
         pieces = [word[0]] + ["##" + ch for ch in word[1:]]
-        words.append((pieces, freq))
         alphabet.update(pieces)
+        words.append([])
+        freqs.append(freq)
+        rewrite(len(words) - 1, pieces)
 
     vocab_tokens: list[str] = sorted(alphabet)
     budget = vocab_size - len(Vocab()) - len(vocab_tokens)
 
     merged: list[str] = []
-    while budget > 0:
-        pair_counts: Counter = Counter()
-        for pieces, freq in words:
-            for left, right in zip(pieces, pieces[1:]):
-                pair_counts[(left, right)] += freq
-        if not pair_counts:
-            break
-        (left, right), freq = pair_counts.most_common(1)[0]
+    while budget > 0 and pair_counts:
+        freq = max(pair_counts.values())
         if freq < min_pair_frequency:
             break
+        # Of the pairs tied at ``freq``, take the leftmost one in the
+        # earliest word that holds any of them.
+        first = min(min(holders[pair]) for pair, count in pair_counts.items()
+                    if count == freq)
+        pieces = words[first]
+        left, right = next(pair for pair in zip(pieces, pieces[1:])
+                           if pair_counts[pair] == freq)
         new_piece = left + right[2:] if right.startswith("##") else left + right
         merged.append(new_piece)
         budget -= 1
-        for index, (pieces, word_count) in enumerate(words):
-            out: list[str] = []
-            i = 0
-            while i < len(pieces):
-                if i + 1 < len(pieces) and pieces[i] == left and pieces[i + 1] == right:
-                    out.append(new_piece)
-                    i += 2
-                else:
-                    out.append(pieces[i])
-                    i += 1
-            words[index] = (out, word_count)
+        for index in list(holders[(left, right)]):
+            rewrite(index, _merge_pair(words[index], left, right, new_piece))
 
     return WordPieceTokenizer(Vocab(vocab_tokens + merged))

@@ -260,6 +260,16 @@ class TestOperatorErrors:
         self._assert_fails_cleanly(
             ["encode", str(table), "--model", str(bundle)], capsys)
 
+    def test_encode_bundle_config_not_an_object(self, corpus_dir, tmp_path,
+                                                capsys):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "config.json").write_text(
+            json.dumps([{"model_name": "bert"}]))
+        table = sorted(corpus_dir.glob("*.csv"))[0]
+        self._assert_fails_cleanly(
+            ["encode", str(table), "--model", str(bundle)], capsys)
+
 
 class TestCheckpointResumeCli:
     def test_checkpoint_dir_and_resume(self, corpus_dir, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the model registry and pretrained bundles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core import (
 )
 from repro.corpus import KnowledgeBase, generate_wiki_corpus
 from repro.models import EncoderConfig
+from repro.nn import CheckpointError
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +171,51 @@ class TestBundleFormatVersion:
         loaded = load_pretrained(directory)
         assert loaded.snapshot_rows == 4
         assert loaded.init_metadata.kwargs == {"snapshot_rows": 4}
+
+
+def _edit_json(name, mutate):
+    """Rewrite bundle file ``name`` with its JSON passed through ``mutate``."""
+    def apply(directory):
+        path = directory / name
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    return apply
+
+
+_MALFORMED_BUNDLES = {
+    "config-json-not-an-object": _edit_json("config.json",
+                                            lambda meta: [meta]),
+    "unknown-config-field": _edit_json("config.json", lambda meta: {
+        **meta, "config": {**meta["config"], "bogus": 1}}),
+    "config-not-an-object": _edit_json("config.json",
+                                       lambda meta: {**meta, "config": 5}),
+    "kwargs-not-an-object": _edit_json("config.json", lambda meta: {
+        **meta, "kwargs": ["snapshot_rows"]}),
+    "tokenizer-json-not-an-object": _edit_json("tokenizer.json",
+                                               lambda payload: [payload]),
+    "tokens-not-a-list": _edit_json("tokenizer.json", lambda payload: {
+        **payload, "tokens": 7}),
+    "specials-out-of-order": _edit_json("tokenizer.json", lambda payload: {
+        **payload, "tokens": [payload["tokens"][1], payload["tokens"][0],
+                              *payload["tokens"][2:]]}),
+    "max-word-chars-not-an-integer": _edit_json(
+        "tokenizer.json",
+        lambda payload: {**payload, "max_word_chars": "64"}),
+    "tokens-too-short-for-vocab-size": _edit_json(
+        "tokenizer.json",
+        lambda payload: {**payload, "tokens": payload["tokens"][:-5]}),
+}
+
+
+class TestMalformedBundles:
+    """A bundle whose JSON parses but has the wrong shape is corrupt:
+    ``CheckpointError``, never a raw ``TypeError`` or ``AttributeError``."""
+
+    @pytest.mark.parametrize("mutate", _MALFORMED_BUNDLES.values(),
+                             ids=_MALFORMED_BUNDLES)
+    def test_load_raises_checkpoint_error(self, mutate, tokenizer, config,
+                                          tmp_path):
+        model = create_model("bert", tokenizer, config=config)
+        directory = save_pretrained(model, tmp_path / "m")
+        mutate(directory)
+        with pytest.raises(CheckpointError, match="bundle"):
+            load_pretrained(directory)

@@ -140,7 +140,8 @@ class TestSnapshotsAndRecovery:
 
         resumed = Pretrainer(bert, PretrainConfig(
             steps=6, batch_size=2, checkpoint_every=3))
-        assert resumed.resume(tmp_path) == 3
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert resumed.resume(tmp_path) == 3
 
     def test_resume_explicit_corrupt_file_falls_back(self, bert, wiki_tables,
                                                      tmp_path):
@@ -226,6 +227,27 @@ class TestMalformedMeta:
             steps=2, batch_size=2, checkpoint_every=1))
         with pytest.warns(RuntimeWarning, match="falling back"):
             assert resumed.resume(malformed) == 2
+
+    @pytest.mark.parametrize("form", ["directory", "file"])
+    def test_resume_falls_back_past_malformed_newest(self, bert, snapshots,
+                                                     form):
+        # The manifest matches, so only loading the archive shows that
+        # the newest snapshot is unusable.
+        newest = _rewrite_meta(snapshots / "ckpt-00000002.npz",
+                               _without("optimizer"))
+        resumed = Pretrainer(bert, PretrainConfig(
+            steps=2, batch_size=2, checkpoint_every=1))
+        target = snapshots if form == "directory" else newest
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert resumed.resume(target) == 1
+
+    def test_resume_dir_with_no_loadable_snapshot_raises(self, bert,
+                                                         snapshots):
+        for path in snapshots.glob("ckpt-*.npz"):
+            _rewrite_meta(path, _without("optimizer"))
+        resumed = Pretrainer(bert, PretrainConfig(steps=2))
+        with pytest.raises(CheckpointError, match="no valid"):
+            resumed.resume(snapshots)
 
     def test_restore_rejects_foreign_rng_state(self, bert):
         trainer = Pretrainer(bert, PretrainConfig(steps=2, batch_size=2))

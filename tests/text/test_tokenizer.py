@@ -1,10 +1,16 @@
 """Tests for the WordPiece tokenizer, including property-based checks."""
 
+import hashlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import build_tokenizer_for_tables
+from repro.corpus import open_stream
 from repro.text import Vocab, WordPieceTokenizer, train_tokenizer
+
+from tests.text.bpe_reference import reference_train_tokenizer
 
 CORPUS = [
     "the population of france is 67.75 million",
@@ -39,6 +45,71 @@ class TestTraining:
         tiny = train_tokenizer(["ab"], vocab_size=1000, min_pair_frequency=2)
         # 'ab' occurs once, so no merge happens: it splits into characters.
         assert tiny.tokenize("ab") == ["a", "##b"]
+
+
+def _tokens(tokenizer):
+    vocab = tokenizer.vocab
+    return [vocab.token(i) for i in range(len(vocab))]
+
+
+#: Words that stress the incremental pair counts: overlapping occurrences
+#: of one pair (``aaaa``), decimals the word splitter keeps whole, and
+#: fragments whose merges meet from either side (``ab`` + ``c`` against
+#: ``a`` + ``bc``).
+_TRICKY_WORDS = ["aaaa", "aaa", "aa", "67.75", "25.69", "ab", "bc", "abc",
+                 "xbc", "abx", "abcabc", "bcbc"]
+
+
+@st.composite
+def _corpora(draw):
+    # Tiny alphabets make many pairs tie for the highest count.
+    alphabet = draw(st.sampled_from(["ab", "abc", "ab.7", "abcxyz"]))
+    word = (st.text(alphabet=alphabet, min_size=1, max_size=8)
+            | st.sampled_from(_TRICKY_WORDS))
+    line = st.lists(word, min_size=1, max_size=6).map(" ".join)
+    return draw(st.lists(line, min_size=1, max_size=6))
+
+
+class TestIncrementalTraining:
+    """``train_tokenizer`` keeps pair counts incrementally; it must learn
+    exactly the vocabulary the full-recount reference learns."""
+
+    @given(texts=_corpora(), vocab_size=st.integers(10, 80),
+           min_pair_frequency=st.integers(1, 3))
+    @example(texts=CORPUS, vocab_size=400, min_pair_frequency=2)
+    @example(texts=["aaaa aaaa aaa aa a"], vocab_size=30, min_pair_frequency=1)
+    @example(texts=["xbc xbc xbc abc abc ab ab"], vocab_size=30,
+             min_pair_frequency=1)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_recount(self, texts, vocab_size,
+                                  min_pair_frequency):
+        trained = train_tokenizer(texts, vocab_size=vocab_size,
+                                  min_pair_frequency=min_pair_frequency)
+        reference = reference_train_tokenizer(
+            texts, vocab_size=vocab_size,
+            min_pair_frequency=min_pair_frequency)
+        assert _tokens(trained) == _tokens(reference)
+
+    #: sha256 of the newline-joined tokens, in id order, that
+    #: ``build_tokenizer_for_tables`` learns on ``open_stream(kind,
+    #: size=n, seed=0)``.  Token ids feed every checkpoint and golden.
+    PINNED = {
+        "wiki-256-v1000": ("wiki", 256, 1000, 1000, "b0a7c0a55273a91ef0e4"
+                           "0048a898666595db56ff472d9abc57696cf3385f2147"),
+        "git-64-v1000": ("git", 64, 1000, 611, "1404d719f03e75ef464db44c6e"
+                         "a6683b705aee5548d1652d902028d35c5a7088"),
+        "wiki-12-v600": ("wiki", 12, 600, 484, "61990b0b31ec2674dab1b36080"
+                         "2f13e5f0664b44a85b7da1b8908a39e982ddbf"),
+    }
+
+    @pytest.mark.parametrize("case", PINNED.values(), ids=PINNED)
+    def test_pinned_vocabulary(self, case):
+        kind, size, vocab_size, length, digest = case
+        tables = open_stream(kind, size=size, seed=0).materialize()
+        tokens = _tokens(build_tokenizer_for_tables(tables,
+                                                    vocab_size=vocab_size))
+        assert len(tokens) == length
+        assert hashlib.sha256("\n".join(tokens).encode()).hexdigest() == digest
 
 
 class TestEncoding:
