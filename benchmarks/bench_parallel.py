@@ -1,4 +1,4 @@
-"""E13 — data-parallel pretraining throughput and bit-equality.
+"""E19 — data-parallel pretraining throughput and bit-equality.
 
 Reruns the Fig. 2c workload (TURL, batch 8, the wiki corpus) through
 ``repro.parallel`` and reports step throughput for workers ∈ {1, 4}
@@ -69,14 +69,14 @@ def test_parallel_throughput(benchmark, wiki_corpus, tokenizer, config,
     cores = os.cpu_count() or 1
 
     print_table(
-        "E13: data-parallel pretraining (Fig. 2c workload, TURL)",
+        "E19: data-parallel pretraining (Fig. 2c workload, TURL)",
         ["workers", "total s", "step ms", "speedup"],
         [["1", f"{serial_s:.2f}", f"{serial_s / STEPS * 1e3:.1f}", "1.00x"],
          ["4", f"{parallel_s:.2f}", f"{parallel_s / STEPS * 1e3:.1f}",
           f"{speedup:.2f}x"]],
     )
     print_table(
-        "E13: engine telemetry (workers=4)",
+        "E19: engine telemetry (workers=4)",
         ["metric", "mean", "max"],
         [["parallel.shard_ms", f"{shard_ms.mean:.2f}",
           f"{shard_ms.max_value:.2f}"],
@@ -121,7 +121,7 @@ def test_engine_overhead_at_one_worker(benchmark, wiki_corpus, tokenizer,
     fused_s, engine_s = benchmark.pedantic(experiment, rounds=1, iterations=1)
     ratio = engine_s / fused_s if fused_s > 0 else float("inf")
     print_table(
-        "E13: workers=1 engine overhead vs fused loop",
+        "E19: workers=1 engine overhead vs fused loop",
         ["path", "total s", "ratio"],
         [["fused (parallel=None)", f"{fused_s:.2f}", "1.00x"],
          ["engine (workers=1)", f"{engine_s:.2f}", f"{ratio:.2f}x"]],

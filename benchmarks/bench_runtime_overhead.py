@@ -1,4 +1,4 @@
-"""Runtime-telemetry overhead smoke bench.
+"""E21 — runtime-telemetry overhead smoke bench.
 
 Verifies the central promise of :mod:`repro.runtime`: instrumentation
 costs nothing measurable until someone turns it on.  Three configurations
@@ -73,7 +73,7 @@ def test_disabled_path_overhead(benchmark, wiki_corpus, tokenizer,
         rounds=1, iterations=1)
 
     print_table(
-        "runtime telemetry overhead (encoder fwd+bwd)",
+        "E21: runtime telemetry overhead (encoder fwd+bwd)",
         ["mode", "median s", "vs disabled"],
         [["disabled", f"{disabled:.4f}", "1.00x"],
          ["profiled", f"{profiled:.4f}", f"{profiled / disabled:.2f}x"]],

@@ -1,4 +1,4 @@
-"""Serving-engine throughput bench: single vs batched vs cached.
+"""E20 — serving-engine throughput: single vs batched vs cached.
 
 A repeated-table workload (the table-QA serving pattern: many clients
 asking the same questions of the same tables) is answered three ways:
@@ -90,7 +90,7 @@ def test_serving_throughput(workload):
          f"{cached_tput / single_tput:.1f}x"],
     ]
     print_table(
-        f"Serving throughput — {len(requests)} requests, "
+        f"E20: serving throughput — {len(requests)} requests, "
         f"{DISTINCT} distinct, batch 8",
         ["mode", "total ms", "req/s", "speedup"], rows)
 

@@ -11,7 +11,8 @@ to which*:
 
 All variants are expressed here through a boolean *block mask* — an array
 broadcastable to ``(batch, heads, query, key)`` where ``True`` means "may
-NOT attend".  Masked scores get a large negative constant before softmax.
+NOT attend".  Masked scores get a large negative constant before softmax,
+inside the one ``attention_softmax`` op.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import math
 
 import numpy as np
 
-from .backend import DEFAULT_DTYPE
+from .backend import NEG_INF
 from .layers import Dropout, Linear
 from .module import Module
 from .tensor import Tensor
 
 __all__ = ["MultiHeadAttention", "NEG_INF"]
-
-NEG_INF = -1e9
 
 
 class MultiHeadAttention(Module):
@@ -83,15 +82,8 @@ class MultiHeadAttention(Module):
         k = self._split_heads(self.key(source))
         v = self._split_heads(self.value(source))
 
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.head_dim))
-        if bias is not None:
-            scores = scores + Tensor(np.asarray(bias, dtype=DEFAULT_DTYPE))
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            while mask.ndim < 4:
-                mask = mask[np.newaxis]
-            scores = scores.masked_fill(mask, NEG_INF)
-        weights = scores.softmax(axis=-1)
+        weights = (q @ k.swapaxes(-1, -2)).attention_softmax(
+            1.0 / math.sqrt(self.head_dim), bias=bias, mask=mask)
         self.last_attention = weights.data
         weights = self.dropout(weights)
         context = weights @ v

@@ -12,10 +12,12 @@ Bit-identity contract
 ---------------------
 The forward/vjp pairs here reproduce, float-op for float-op, the inline
 numpy the original ``Tensor`` closures executed (see DESIGN.md,
-"Op table").  The fused ``cross_entropy`` kernel runs the same
-elementary float sequence as the op chain it replaces; its speedup
-comes from eliminating per-op dispatch and node bookkeeping, never from
-reassociating arithmetic.
+"Op table").  The fused kernels (``cross_entropy``, ``linear``,
+``attention_softmax`` and ``layer_norm``) run the same elementary float
+sequence in their forward as the op chain each replaces; their speedup
+comes from eliminating per-op dispatch, node bookkeeping and the
+chain's retained intermediates, never from reassociating arithmetic.
+Only ``layer_norm``'s backward is analytic rather than the chain's.
 
 ``DEFAULT_DTYPE`` is the single source of truth for the library's
 accumulation dtype; the tape sanitizer's dtype-creep check and the loss
@@ -35,12 +37,15 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["DEFAULT_DTYPE", "OPS", "OpDef"]
+__all__ = ["DEFAULT_DTYPE", "NEG_INF", "OPS", "OpDef"]
 
 # The accumulation dtype of the whole library: parameters, gradients and
 # loss arithmetic.  Integer/bool inputs are promoted to this on Tensor
 # construction; the tape sanitizer flags anything that silently narrows.
 DEFAULT_DTYPE = np.float64
+
+# The score a masked attention position gets before the softmax.
+NEG_INF = -1e9
 
 # glibc ``mallopt`` parameters (<malloc.h>).
 _M_TRIM_THRESHOLD = -1
@@ -90,20 +95,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _canon(x: np.ndarray) -> np.ndarray:
-    """Replicate ``0.0 + x`` — the tape's per-node gradient-buffer write.
-
-    A fused kernel collapses a chain of tape nodes; at every interior
-    node boundary the eager tape writes the first contribution into a
-    fresh buffer as ``0.0 + x`` (``Tensor._accumulate``), which
-    canonicalizes ``-0.0`` to ``+0.0``.  Adding ``0.0`` here performs the
-    identical float op, keeping a fused backward pass bitwise equal to
-    its unfused chain.
-    """
-    return x + 0.0
+    # The sums already have ``shape``; a reshape would only turn them
+    # into views, which the tape copies instead of adopting.
+    return grad
 
 
 @dataclass(frozen=True)
@@ -349,14 +343,24 @@ def _bw_getitem(grad, ctx, needs):
 def _fw_take_rows(datas, params):
     (x,) = datas
     idx = params["indices"]
-    return x[idx], (x, idx)
+    return x[idx], (x.shape, idx)
 
 
 def _bw_take_rows(grad, ctx, needs):
-    x, idx = ctx
-    full = np.zeros_like(x, dtype=DEFAULT_DTYPE)
-    np.add.at(full, idx.reshape(-1), grad.reshape(-1, x.shape[1]))
-    return (full,)
+    """Scatter-add the rows back with one ``np.bincount``.
+
+    Key ``row * dim + column`` names one cell of the table.  ``bincount``
+    adds each cell's contributions from 0.0 in input order, as
+    ``np.add.at`` does, so the sums are bitwise the same.  Negative
+    indices are wrapped into range first: the forward accepts them and
+    ``bincount`` does not.  (An empty batch makes ``bincount`` count in
+    integers, hence the cast.)
+    """
+    (rows, dim), idx = ctx
+    keys = (idx.reshape(-1) % rows)[:, np.newaxis] * dim + np.arange(dim)
+    full = np.bincount(keys.reshape(-1), weights=grad.reshape(-1),
+                       minlength=rows * dim)
+    return (full.astype(DEFAULT_DTYPE, copy=False).reshape(rows, dim),)
 
 
 def _fw_softmax(datas, params):
@@ -434,8 +438,9 @@ def _bw_stack(grad, ctx, needs):
 
 
 # ----------------------------------------------------------------------
-# Fused kernel.  Same elementary float sequence as the op chain it
-# replaces; ``_canon`` marks every interior tape-node boundary.
+# Fused kernels.  Each forward runs the elementary float sequence of the
+# op chain it replaces, in the chain's order, and keeps only what its
+# backward reads.
 # ----------------------------------------------------------------------
 
 def _fw_cross_entropy(datas, params):
@@ -467,13 +472,103 @@ def _fw_cross_entropy(datas, params):
 
 def _bw_cross_entropy(grad, ctx, needs):
     probs, weights, rows, safe, picked_shape, flat_shape = ctx
-    g1 = _canon(-grad)
-    g2 = np.broadcast_to(g1, picked_shape)
-    g3 = _canon(g2 * weights)
+    g = np.broadcast_to(-grad, picked_shape) * weights
     full = np.zeros(flat_shape, dtype=DEFAULT_DTYPE)
-    np.add.at(full, (rows, safe), g3)
+    np.add.at(full, (rows, safe), g)
     total = full.sum(axis=-1, keepdims=True)
     return (full - probs * total,)
+
+
+def _fw_linear(datas, params):
+    """``x @ W`` then ``+= b``: the ``matmul → add`` chain of a biased
+    ``Linear``, without keeping the pre-bias product alive."""
+    x, w, b = datas
+    out = x @ w
+    out += b
+    return out, (x, w, b.shape)
+
+
+def _bw_linear(grad, ctx, needs):
+    x, w, bias_shape = ctx
+    gx, gw = _bw_matmul(grad, (x, w), needs[:2])
+    return (gx, gw, _unbroadcast(grad, bias_shape) if needs[2] else None)
+
+
+def _fw_attention_softmax(datas, params):
+    """Attention probabilities of raw ``q @ k^T`` scores.
+
+    The chain ``* scale → + bias → masked_fill(mask, NEG_INF) → softmax``
+    in one buffer: every step runs in place, in the chain's order, so
+    the scaled, biased and filled scores are never kept.  ``bias`` and
+    ``mask`` are optional and broadcast to the scores' shape.
+    """
+    (scores,) = datas
+    mask = params["mask"]
+    probs = scores * params["scale"]
+    if params["bias"] is not None:
+        probs += params["bias"]
+    if mask is not None:
+        np.copyto(probs, NEG_INF, where=mask)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs, (probs, params["scale"], mask)
+
+
+def _bw_attention_softmax(grad, ctx, needs):
+    """The softmax, masked_fill and scale VJPs, in the chain's order."""
+    probs, scale, mask = ctx
+    g = grad * probs
+    dot = g.sum(axis=-1, keepdims=True)
+    np.subtract(grad, dot, out=g)
+    g *= probs
+    if mask is not None:
+        np.copyto(g, 0.0, where=mask)
+    g *= scale
+    return (g,)
+
+
+def _fw_layer_norm(datas, params):
+    """Layer normalization over the last axis with gain and bias.
+
+    The composed chain's floats in its order: ``sum · (1/D)``,
+    ``x + (−μ)``, the sum of squares ``· (1/D)``, ``np.power(var + eps,
+    −0.5)``, ``· gain`` and ``+ bias``.  The normalized input is the one
+    full-size array kept for the backward.
+    """
+    x, gain, bias = datas
+    inv_dim = 1.0 / x.shape[-1]
+    centered = x + -(x.sum(axis=-1, keepdims=True) * inv_dim)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_dim
+    rstd = np.power(var + params["eps"], -0.5)
+    normed = np.multiply(centered, rstd, out=centered)
+    out = normed * gain
+    out += bias
+    return out, (normed, rstd, gain, bias.shape)
+
+
+def _bw_layer_norm(grad, ctx, needs):
+    """Analytic VJP: ``rstd · (g − mean(g) − n · mean(g · n))``, ``g = grad · gain``.
+
+    The chain spread this over a dozen tape nodes and added four
+    contributions into the input's gradient; summing them in one
+    expression moves the input gradient's last bits.  The gain and bias
+    gradients are the chain's mul and add VJPs, bit for bit.
+    """
+    normed, rstd, gain, bias_shape = ctx
+    gx = ggain = gbias = None
+    if needs[0]:
+        inv_dim = 1.0 / normed.shape[-1]
+        g = grad * gain
+        gx = g - g.sum(axis=-1, keepdims=True) * inv_dim
+        g *= normed
+        gx -= normed * (g.sum(axis=-1, keepdims=True) * inv_dim)
+        gx *= rstd
+    if needs[1]:
+        ggain = _unbroadcast(grad * normed, gain.shape)
+    if needs[2]:
+        gbias = _unbroadcast(grad, bias_shape)
+    return (gx, ggain, gbias)
 
 
 # ----------------------------------------------------------------------
@@ -505,4 +600,7 @@ OPS: dict[str, OpDef] = {op.name: op for op in (
     OpDef("concatenate", _fw_concatenate, _bw_concatenate),
     OpDef("stack", _fw_stack, _bw_stack),
     OpDef("cross_entropy", _fw_cross_entropy, _bw_cross_entropy),
+    OpDef("linear", _fw_linear, _bw_linear),
+    OpDef("attention_softmax", _fw_attention_softmax, _bw_attention_softmax),
+    OpDef("layer_norm", _fw_layer_norm, _bw_layer_norm),
 )}

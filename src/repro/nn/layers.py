@@ -33,10 +33,9 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        if self.bias is None:
+            return x @ self.weight
+        return x.linear(self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -70,10 +69,7 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        normed = (x - mu) * ((var + self.eps) ** -0.5)
-        return normed * self.gain + self.bias
+        return x.layer_norm(self.gain, self.bias, self.eps)
 
 
 class Dropout(Module):

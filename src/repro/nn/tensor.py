@@ -216,9 +216,14 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             needs = tuple(p.requires_grad for p in inputs)
             grads = opdef.vjp(grad, ctx, needs)
+            # A VJP result may be adopted as a parent's buffer unless it
+            # is the incoming ``grad`` or went to an earlier parent.
+            handed = [grad]
             for parent, g in zip(inputs, grads):
                 if g is not None and parent.requires_grad:
-                    parent._accumulate(g)
+                    parent._accumulate(
+                        g, adopt=all(g is not h for h in handed))
+                    handed.append(g)
 
         out = Tensor(out_data, requires_grad=True, _parents=inputs,
                      _backward=backward, _op=name)
@@ -226,16 +231,25 @@ class Tensor:
             _TAPE_ON_NODE(out)
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        # The first write is ``0.0 + grad`` into an unfilled buffer: the
-        # float op of a zero fill and ``+=``, in one pass.  It turns -0.0
-        # into +0.0, which ``_canon`` in the fused ``cross_entropy``
-        # backward mirrors.
-        if self.grad is None:
+    def _accumulate(self, grad: np.ndarray, adopt: bool = False) -> None:
+        """Add one gradient contribution into ``self.grad``.
+
+        The first write adopts ``grad`` itself when the caller may give
+        it away (``adopt``) and it is a fresh, writeable float64 array
+        of this tensor's shape that views no other memory.  Any other
+        first write (the seed, a pass-through, a view, a numpy scalar)
+        is ``0.0 + grad`` into an unfilled buffer: the float op of a
+        zero fill and ``+=``, in one pass, which turns -0.0 into +0.0.
+        """
+        if self.grad is not None:
+            self.grad += grad
+        elif (adopt and type(grad) is np.ndarray and grad.base is None
+              and grad.dtype == DEFAULT_DTYPE
+              and grad.shape == self.data.shape and grad.flags.writeable):
+            self.grad = grad
+        else:
             self.grad = np.add(grad, 0.0, out=np.empty_like(
                 self.data, dtype=DEFAULT_DTYPE))
-        else:
-            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.
@@ -364,6 +378,15 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
 
+    def linear(self, weight: "Tensor", bias: "Tensor") -> "Tensor":
+        """Affine map ``self @ weight + bias`` as one op.
+
+        Forward and gradients are bitwise those of the ``matmul → add``
+        chain, up to the sign of a zero gradient entry; the pre-bias
+        product is not kept on the tape.
+        """
+        return self._apply("linear", (self, weight, bias))
+
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -384,7 +407,7 @@ class Tensor:
         return self._apply("max", (self,), {"axis": axis, "keepdims": keepdims})
 
     def var(self, axis: int, keepdims: bool = False) -> "Tensor":
-        """Population variance along ``axis`` (as used by layer norm)."""
+        """Population variance along ``axis``."""
         mu = self.mean(axis=axis, keepdims=True)
         centered = self - mu
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
@@ -433,11 +456,38 @@ class Tensor:
     def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
         """Replace entries where ``mask`` is true with ``value``.
 
-        Used to implement attention masking: masked positions get a large
-        negative score before softmax.
+        Attention masks its scores inside :meth:`attention_softmax`, not
+        through this op.
         """
         mask = np.asarray(mask, dtype=bool)
         return self._apply("masked_fill", (self,), {"mask": mask, "value": value})
+
+    def attention_softmax(self, scale: float, bias: np.ndarray | None = None,
+                          mask: np.ndarray | None = None) -> "Tensor":
+        """Attention probabilities of raw ``(…, q_len, k_len)`` scores.
+
+        One op for ``(self * scale + bias).masked_fill(mask, NEG_INF)
+        .softmax(axis=-1)``; ``bias`` (additive) and ``mask`` (``True``
+        blocks) are optional and broadcast to the scores.  Forward and
+        gradients are bitwise those of that chain, up to the sign of a
+        zero gradient entry.
+        """
+        if bias is not None:
+            bias = np.asarray(bias, dtype=DEFAULT_DTYPE)
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+        return self._apply("attention_softmax", (self,),
+                           {"scale": scale, "bias": bias, "mask": mask})
+
+    def layer_norm(self, gain: "Tensor", bias: "Tensor",
+                   eps: float) -> "Tensor":
+        """Normalize the last axis, then ``· gain + bias``, as one op.
+
+        The forward is bitwise the composed chain's (mean, centring,
+        variance, ``(var + eps) ** -0.5``); the input gradient is the
+        analytic one and agrees with the chain's to rounding.
+        """
+        return self._apply("layer_norm", (self, gain, bias), {"eps": eps})
 
     def cross_entropy(self, targets: np.ndarray,
                       ignore_index: int | None = None) -> "Tensor":

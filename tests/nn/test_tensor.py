@@ -319,7 +319,7 @@ class TestFirstGradientWrite:
     """A gradient buffer's first write is bytewise ``zeros + g``."""
 
     CASES = {
-        # -0.0 lands as +0.0, which ``cross_entropy``'s ``_canon`` mirrors.
+        # -0.0 lands as +0.0: a write that is not adopted canonicalizes.
         "negative_zero": lambda rng: (rng.normal(size=3),
                                       np.array([-0.0, 1.5, -0.0])),
         "broadcast_row": lambda rng: (rng.normal(size=(4, 3)),
@@ -340,6 +340,89 @@ class TestFirstGradientWrite:
         tensor._accumulate(contribution)
         assert same_bytes(tensor.grad, expected)
         assert tensor.grad.strides == expected.strides
+
+
+def _graph(name, rng):
+    """``(leaves, scalar loss)`` of one graph that hands gradients around."""
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(2, 3, 4)))
+    if name == "add_self":
+        return [x], ((x + x) * weight).sum()
+    if name == "mul_self":
+        return [x], ((x * x) * weight).sum()
+    if name == "broadcast_add":
+        bias = Tensor(rng.normal(size=4), requires_grad=True)
+        return [x, bias], ((x + bias) * weight).sum()
+    if name == "reshape_transpose":
+        round_trip = x.reshape(6, 4).transpose(1, 0).transpose(1, 0)
+        return [x], (round_trip.reshape(2, 3, 4) * weight + x).sum()
+    if name == "concatenate_twice":
+        both = Tensor.concatenate([x, x], axis=1)
+        return [x], (both * Tensor(rng.normal(size=(2, 6, 4)))).sum()
+    if name == "stack_twice":
+        both = Tensor.stack([x, x], axis=0)
+        return [x], (both * Tensor(rng.normal(size=(2, 2, 3, 4)))).sum()
+    if name == "zero_dim":
+        s = Tensor(np.array(1.5), requires_grad=True)
+        return [s], (s * s) * 3.0 + s
+    raise KeyError(name)
+
+
+def _tape(loss):
+    """Every tensor of the graph behind ``loss``, each once."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestAdoptedGradientBuffers:
+    """A first write may adopt the VJP's own array, never a shared one."""
+
+    GRAPHS = ["add_self", "mul_self", "broadcast_add", "reshape_transpose",
+              "concatenate_twice", "stack_twice", "zero_dim"]
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_buffers_never_alias(self, name):
+        _, loss = _graph(name, np.random.default_rng(0))
+        loss.backward()
+        grads = [t for t in _tape(loss) if t.grad is not None]
+        for tensor in grads:
+            assert type(tensor.grad) is np.ndarray
+            assert tensor.grad.shape == tensor.shape
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a.grad, b.grad), (a, b)
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_leaf_gradients_equal_always_copying(self, name, monkeypatch):
+        leaves, loss = _graph(name, np.random.default_rng(0))
+        loss.backward()
+        adopted = [leaf.grad for leaf in leaves]
+
+        copy = Tensor._accumulate
+        monkeypatch.setattr(Tensor, "_accumulate",
+                            lambda self, grad, adopt=False: copy(self, grad))
+        leaves, loss = _graph(name, np.random.default_rng(0))
+        loss.backward()
+        for grad, leaf in zip(adopted, leaves):
+            assert same_bytes(grad, leaf.grad)
+
+    def test_fresh_vjp_result_is_adopted(self):
+        x = Tensor(random(3, 4), requires_grad=True)
+        y = x * 2.0
+        (y * y).sum().backward()
+        # ``mul``'s VJP result for ``x`` is fresh: adopted, no copy.
+        assert x.grad.base is None and x.grad.flags.owndata
+
+    def test_seed_is_copied(self):
+        x = Tensor(random(3), requires_grad=True)
+        seed = np.ones(3)
+        x.backward(seed)
+        assert not np.shares_memory(x.grad, seed)
 
 
 class TestConstruction:
