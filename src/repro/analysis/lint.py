@@ -4,9 +4,10 @@ Rules — each guards a convention the rest of the codebase relies on:
 
 - **REPRO001** no global-RNG ``np.random.*`` calls: randomness must flow
   through explicit ``Generator`` objects so seeds stay reproducible.
-- **REPRO002** no bare ndarray arithmetic on ``Tensor.data`` outside
-  ``nn/``: math on ``.data`` bypasses the autograd tape and silently
-  drops gradients.
+- **REPRO002** no bare ndarray arithmetic on ``Tensor.data``, and no
+  in-place store into it (``x.data[i] = v``), outside ``nn/``: math on
+  ``.data`` bypasses the autograd tape and silently drops gradients,
+  and a store bypasses the weight epoch (use ``Parameter.assign``).
 - **REPRO003** no mutable default arguments.
 - **REPRO004** serve-path ``.forward(...)`` calls must sit lexically
   inside an inference context (``inference_mode()`` /
@@ -18,7 +19,11 @@ Rules — each guards a convention the rest of the codebase relies on:
   the op seam itself (``backend.py``, ``tensor.py``, ``optim.py``) may do
   raw ``.data`` arithmetic — elsewhere it bypasses the
   :mod:`repro.nn.backend` op table, and op math outside the table is
-  neither taped nor observed.
+  neither taped nor observed.  Likewise only ``module.py`` may store
+  into ``.data`` in place: its ``Parameter.assign`` moves the weight
+  epoch after the store, and a store anywhere else would change weights
+  under every memo keyed on that epoch (the serve cache's model
+  fingerprint, the retriever's corpus index).
 - **REPRO007** no silent exception swallowing: bare ``except:`` is
   always flagged, and ``except X: pass`` (a handler whose body is only
   ``pass``/``...``) is flagged unless *every* caught exception is on
@@ -53,11 +58,12 @@ __all__ = ["LintFinding", "run_lint", "lint_file", "lint_source", "RULES"]
 
 RULES: dict[str, str] = {
     "REPRO001": "np.random.* global-RNG call (pass a Generator instead)",
-    "REPRO002": "ndarray arithmetic on Tensor.data outside nn/",
+    "REPRO002": "ndarray arithmetic on, or store into, Tensor.data outside nn/",
     "REPRO003": "mutable default argument",
     "REPRO004": "serve-path forward() outside an inference context",
     "REPRO005": "public function missing type annotations",
-    "REPRO006": "op math must go through the op table",
+    "REPRO006": "op math must go through the op table, weight stores "
+                "through Parameter.assign",
     "REPRO007": "exception silently swallowed (bare except / except-pass)",
     "REPRO008": "guarded attribute accessed outside its lock",
     "REPRO009": "lock-order hazard (cycle or blocking call under lock)",
@@ -75,6 +81,11 @@ _SILENCEABLE_EXCEPTIONS = frozenset({
 _OP_SEAM_FILES = frozenset({
     "backend.py", "tensor.py", "optim.py",
 })
+
+#: The nn/ module whose in-place ``.data`` store is the implementation:
+#: ``Parameter.assign`` stores, then moves the weight epoch.  The op seam
+#: is not exempt — a store there would skip the epoch too.
+_WEIGHT_STORE_FILES = frozenset({"module.py"})
 
 #: ``np.random.<name>`` calls that are construction, not global state.
 _RNG_FACTORY_NAMES = frozenset({
@@ -116,6 +127,14 @@ def _is_data_access(node: ast.AST) -> bool:
     if isinstance(node, ast.Subscript):
         return _is_data_access(node.value)
     return isinstance(node, ast.Attribute) and node.attr == "data"
+
+
+def _is_data_store(target: ast.AST) -> bool:
+    """True when an assignment target stores into ``x.data[...]``."""
+    return any(isinstance(node, ast.Subscript)
+               and isinstance(node.ctx, ast.Store)
+               and _is_data_access(node.value)
+               for node in ast.walk(target))
 
 
 def _mutable_default(node: ast.AST) -> bool:
@@ -173,6 +192,7 @@ class _Visitor(ast.NodeVisitor):
         self.in_serve = "serve" in parts
         name = Path(path).name
         self.in_op_seam = name in _OP_SEAM_FILES
+        self.in_weight_store = name in _WEIGHT_STORE_FILES
         self.needs_annotations = bool(parts & _ANNOTATED_PACKAGES)
         self.select = select
         self.findings: list[LintFinding] = []
@@ -210,22 +230,33 @@ class _Visitor(ast.NodeVisitor):
         if inference:
             self._inference_depth -= 1
 
+    def _check_data(self, node: ast.AST, store: bool) -> None:
+        """REPRO002 outside nn/; inside it, REPRO006 outside the files
+        where this ``.data`` access is the implementation."""
+        if not self.in_nn:
+            self._report("REPRO002", node,
+                         "in-place store into .data" if store else "")
+        elif store and not self.in_weight_store:
+            self._report("REPRO006", node,
+                         "in-place store into .data outside Parameter.assign")
+        elif not store and not self.in_op_seam:
+            self._report("REPRO006", node, "raw .data arithmetic inside nn/")
+
     def visit_BinOp(self, node: ast.BinOp) -> None:
         if _is_data_access(node.left) or _is_data_access(node.right):
-            if not self.in_nn:
-                self._report("REPRO002", node)
-            elif not self.in_op_seam:
-                self._report("REPRO006", node,
-                             "raw .data arithmetic inside nn/")
+            self._check_data(node, store=False)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if _is_data_access(node.target) or _is_data_access(node.value):
-            if not self.in_nn:
-                self._report("REPRO002", node)
-            elif not self.in_op_seam:
-                self._report("REPRO006", node,
-                             "raw .data arithmetic inside nn/")
+        if _is_data_store(node.target):
+            self._check_data(node, store=True)
+        elif _is_data_access(node.target) or _is_data_access(node.value):
+            self._check_data(node, store=False)
+        self.generic_visit(node)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if any(_is_data_store(target) for target in node.targets):
+            self._check_data(node, store=True)
         self.generic_visit(node)
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:

@@ -36,7 +36,7 @@ from .io import (
     write_npz_atomic,
 )
 from .layers import Dropout, Embedding, LayerNorm, Linear
-from .module import InitMetadata, Module, ModuleList, Parameter
+from .module import InitMetadata, Module, ModuleList, Parameter, weight_epoch
 from .optim import (
     SGD,
     Adam,
@@ -57,7 +57,7 @@ from .transformer import Decoder, DecoderLayer, Encoder, EncoderLayer, FeedForwa
 __all__ = [
     "Tensor", "inference_mode", "is_inference_mode",
     "set_tape_hook", "get_tape_hook", "OpDef", "DEFAULT_DTYPE",
-    "Module", "ModuleList", "Parameter", "InitMetadata",
+    "Module", "ModuleList", "Parameter", "InitMetadata", "weight_epoch",
     "Linear", "Embedding", "LayerNorm", "Dropout",
     "MultiHeadAttention", "causal_mask", "padding_mask",
     "FeedForward", "EncoderLayer", "Encoder", "DecoderLayer", "Decoder",

@@ -4,10 +4,26 @@ Modules mirror the familiar torch-style API at the scale this library needs:
 attribute assignment auto-registers parameters and submodules, and
 ``state_dict``/``load_state_dict`` give flat name→array views used by the
 checkpoint code in :mod:`repro.nn.io`.
+
+Two process-wide epochs let per-request checks cost a comparison instead
+of a pass over the weights or the module tree:
+
+- the **weight epoch** (:func:`weight_epoch`) moves after every parameter
+  write and every parameter or submodule registration.  Weights change
+  only through those paths: rebinding ``Parameter.data`` (which the
+  optimizers' ``p.data -= ...`` does), :meth:`Parameter.assign` (the one
+  in-place store; ``load_state_dict`` and the data-parallel sync use
+  it), ``Module.__setattr__`` and ``ModuleList.append``.  A memo of
+  anything derived from weights stamps itself with the epoch it read
+  *before* computing and is valid while the epoch has not moved;
+- the **mode epoch** moves on every ``train()`` and every submodule
+  registration, so ``eval()`` returns at once on a tree it already
+  walked in the current mode epoch.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
@@ -17,7 +33,29 @@ import numpy as np
 from .backend import DEFAULT_DTYPE
 from .tensor import Tensor, inference_mode
 
-__all__ = ["Parameter", "Module", "ModuleList", "InitMetadata"]
+__all__ = ["Parameter", "Module", "ModuleList", "InitMetadata",
+           "weight_epoch"]
+
+# Both epochs take their values from one counter, so no two bumps ever
+# set the same value and a stale stamp can never match again.
+_TICKS = itertools.count(1)
+_weight_epoch = 0
+_mode_epoch = 0
+
+
+def weight_epoch() -> int:
+    """The current weight epoch (see the module docstring)."""
+    return _weight_epoch
+
+
+def _weights_changed() -> None:
+    global _weight_epoch
+    _weight_epoch = next(_TICKS)
+
+
+def _modes_changed() -> None:
+    global _mode_epoch
+    _mode_epoch = next(_TICKS)
 
 
 @dataclass(frozen=True)
@@ -42,12 +80,35 @@ class InitMetadata:
                    kwargs=dict(payload.get("kwargs", {})))
 
 
+#: The slot ``Tensor`` keeps its array in; ``Parameter.data`` wraps it.
+_DATA_SLOT = Tensor.data
+
+
 class Parameter(Tensor):
-    """A tensor registered as a trainable parameter of a module."""
+    """A tensor registered as a trainable parameter of a module.
+
+    ``data`` is a property: rebinding it (including the optimizers'
+    augmented ``p.data -= ...``) moves the weight epoch after the store.
+    """
 
     def __init__(self, data: np.ndarray) -> None:
         super().__init__(np.asarray(data, dtype=DEFAULT_DTYPE),
                          requires_grad=True)
+
+    def _set_data(self, value: np.ndarray) -> None:
+        _DATA_SLOT.__set__(self, value)
+        _weights_changed()
+
+    data = property(_DATA_SLOT.__get__, _set_data)
+
+    def assign(self, value: np.ndarray) -> None:
+        """Store ``value`` into the parameter's array in place.
+
+        The one in-place weight store: it writes, then moves the weight
+        epoch, so no memo can stamp the old bytes with the new epoch.
+        """
+        self.data[...] = value
+        _weights_changed()
 
 
 class Module:
@@ -57,13 +118,20 @@ class Module:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
         object.__setattr__(self, "training", True)
+        # The mode epoch in which eval() last walked this module.
+        object.__setattr__(self, "_eval_epoch", None)
 
     def __setattr__(self, name: str, value: object) -> None:
+        # Only registrations move an epoch: a forward that stores its
+        # attention weights on the module must not invalidate anything.
+        object.__setattr__(self, name, value)
         if isinstance(value, Parameter):
             self._parameters[name] = value
+            _weights_changed()
         elif isinstance(value, Module):
             self._modules[name] = value
-        object.__setattr__(self, name, value)
+            _weights_changed()
+            _modes_changed()
 
     # ------------------------------------------------------------------
     # Construction metadata
@@ -120,12 +188,22 @@ class Module:
         """Switch to training mode (enables dropout)."""
         for module in self.modules():
             object.__setattr__(module, "training", True)
+        _modes_changed()
         return self
 
     def eval(self) -> "Module":
-        """Switch to inference mode (disables dropout)."""
+        """Switch to inference mode (disables dropout).
+
+        Free on a tree this call already walked in the current mode
+        epoch: no ``train()`` and no registration happened since, so
+        every module in it is still in eval.
+        """
+        epoch = _mode_epoch
+        if self._eval_epoch == epoch:
+            return self
         for module in self.modules():
             object.__setattr__(module, "training", False)
+            object.__setattr__(module, "_eval_epoch", epoch)
         return self
 
     @contextmanager
@@ -166,7 +244,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: saved {incoming.shape}, model {param.shape}"
                 )
-            param.data[...] = incoming
+            param.assign(incoming)
 
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):
@@ -188,6 +266,8 @@ class ModuleList(Module):
     def append(self, module: Module) -> None:
         self._modules[str(len(self._items))] = module
         self._items.append(module)
+        _weights_changed()
+        _modes_changed()
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._items)

@@ -116,7 +116,7 @@ class DataParallelEngine:
     def _sync(self, arrays: list[np.ndarray]) -> None:
         """Overwrite parameter storage in place (worker-side per step)."""
         for parameter, value in zip(self.parameters, arrays):
-            parameter.data[...] = value
+            parameter.assign(value)
 
     def _run_inline(self, shards: list[tuple[int, Any]]) -> list[_RawResult]:
         """Re-execute shards in the parent process (degraded fallback).

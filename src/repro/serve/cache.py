@@ -11,9 +11,12 @@ weights:
   numeric channel) rather than the raw table means context strings,
   serializer choice and per-task input mutations (e.g. the imputer's
   ``[MASK]`` span) all participate in the key for free;
-- hashing the *model fingerprint* (name + config + every parameter)
+- keying on the *model fingerprint* (name + config + every parameter)
   means fine-tuning or loading different weights invalidates every
-  stale entry without explicit bookkeeping.
+  stale entry.  The digest is memoized on the model and stamped with
+  the weight epoch (:func:`repro.nn.weight_epoch`), which every
+  parameter write moves, so a request under unchanged weights hashes
+  nothing.
 
 Hit/miss/eviction counts report through the
 :class:`~repro.runtime.MetricsRegistry` under ``serve.cache.*``.
@@ -40,7 +43,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..nn import Module
+from ..nn import Module, weight_epoch
 from ..runtime import get_registry
 from ..serialize import SerializedTable, TableFeatures, pad_batch
 from ..tables import Table
@@ -103,17 +106,28 @@ def model_fingerprint(model: Module) -> str:
 
     Any weight update (fine-tuning, loading a different bundle) changes
     the fingerprint, so cache entries written under the old weights can
-    never be served again.
+    never be served again.  The digest is kept on the model, stamped
+    with the weight epoch and the config object, and recomputed only
+    when either moved: every parameter write and every parameter or
+    submodule registration moves the epoch, and a replaced (frozen)
+    config is a new object.  The epoch is read before hashing, so a
+    write racing the hash makes the next call hash again.
     """
+    epoch = weight_epoch()
+    config = getattr(model, "config", None)
+    memo = getattr(model, "_fingerprint_memo", None)
+    if memo is not None and memo[0] == epoch and memo[1] is config:
+        return memo[2]
     digest = hashlib.sha256()
     digest.update(getattr(model, "model_name", type(model).__name__).encode())
-    config = getattr(model, "config", None)
     if config is not None and hasattr(config, "to_dict"):
         digest.update(json.dumps(config.to_dict(), sort_keys=True).encode())
     for name, param in model.named_parameters():
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(param.data).tobytes())
-    return digest.hexdigest()
+    fingerprint = digest.hexdigest()
+    model._fingerprint_memo = (epoch, config, fingerprint)
+    return fingerprint
 
 
 class EncodingCache:  # thread-shared

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .cache import EncodingCache
+from ..nn import Module
 from ..runtime import get_registry
 from ..tasks import Prediction
 
@@ -82,7 +83,10 @@ class InferenceEngine:
     ----------
     predictors:
         ``task_name -> TaskPredictor``.  Each predictor's encoder gets
-        the engine's shared :class:`EncodingCache` installed.
+        the engine's shared :class:`EncodingCache` installed, and each
+        predictor is switched to eval once, here: every request's
+        ``inference()`` scope then finds its tree in eval in the current
+        mode epoch and walks nothing.
     config:
         Cache budget.
     """
@@ -99,6 +103,8 @@ class InferenceEngine:
             encoder = getattr(predictor, "encoder", None)
             if encoder is not None and hasattr(encoder, "set_encoding_cache"):
                 encoder.set_encoding_cache(self.cache)
+            if isinstance(predictor, Module):
+                predictor.eval()
 
     def process(self, submissions: list[tuple[str, Any]]
                 ) -> list[PredictResponse]:

@@ -18,7 +18,7 @@ from .common import Prediction, predict_in_batches
 from ..corpus import RetrievalExample
 from ..eval import hits_at_k, mean_reciprocal_rank
 from ..models import TableEncoder
-from ..nn import Module, Tensor, in_batch_contrastive_loss
+from ..nn import Module, Tensor, in_batch_contrastive_loss, weight_epoch
 from ..tables import Table
 from ..text import word_tokenize
 
@@ -37,6 +37,7 @@ class BiEncoderRetriever(Module):
         super().__init__()
         self.encoder = encoder
         self._tables_by_id: dict[str, Table] = {}
+        self._index_memo: tuple | None = None
         if corpus is not None:
             self.bind_corpus(corpus)
 
@@ -77,6 +78,25 @@ class BiEncoderRetriever(Module):
         norms = np.linalg.norm(vectors, axis=-1, keepdims=True) + 1e-9
         return vectors / norms, [t.table_id for t in tables]
 
+    def _corpus_index(self) -> tuple[np.ndarray, list[str]]:
+        """:meth:`index` of the bound corpus, re-embedded only when needed.
+
+        The index is stamped with the weight epoch and, by identity, the
+        encoder's config, its encoding cache (which decides how the
+        forward runs) and the bound-corpus dict; it is rebuilt when any
+        of them moved.
+        """
+        epoch = weight_epoch()
+        stamp = (self.encoder.config, self.encoder.encoding_cache,
+                 self._tables_by_id)
+        memo = self._index_memo
+        if (memo is None or memo[0] != epoch
+                or any(a is not b for a, b in zip(memo[1], stamp))):
+            memo = (epoch, stamp,
+                    self.index(list(self._tables_by_id.values())))
+            self._index_memo = memo
+        return memo[2]
+
     def _query_vectors(self, queries: list[str]) -> np.ndarray:
         hidden, _ = self.encoder.infer_hidden(
             [_EMPTY_TABLE] * len(queries), queries)
@@ -102,8 +122,7 @@ class BiEncoderRetriever(Module):
         """
         if not self._tables_by_id:
             raise ValueError("bind_corpus() must be called before predict")
-        index = self.index(list(self._tables_by_id.values()))
-        matrix, ids = index
+        matrix, ids = self._corpus_index()
 
         def rank_batch(chunk: list[RetrievalExample]) -> list[Prediction]:
             vectors = self._query_vectors([e.query for e in chunk])

@@ -47,6 +47,30 @@ def test_repro002_augassign_and_subscript_fire():
     assert _rules(findings) == ["REPRO002"]
 
 
+def test_data_stores_fire_outside_parameter_assign():
+    source = """
+        param.data[...] = value
+        param.data[0, 1:] = value
+        param.data[0] += 1
+    """
+    assert _rules(_findings(source, path="src/repro/tasks/qa.py")) == \
+        ["REPRO002"] * 3
+    # The op seam stores no weights: a store there would skip the epoch.
+    for name in ("layers.py", "optim.py", "tensor.py"):
+        assert _rules(_findings(source, path=f"src/repro/nn/{name}")) == \
+            ["REPRO006"] * 3
+    # module.py holds Parameter.assign, which stores, then moves the epoch.
+    assert _findings(source, path="src/repro/nn/module.py") == []
+
+
+def test_data_rebinding_and_copies_are_not_stores():
+    assert _findings("""
+        param.data = param.data.copy()
+        values[...] = param.data
+        batch.token_ids[0] = 1
+    """, path="src/repro/nn/layers.py") == []
+
+
 def test_repro003_mutable_default_fires():
     findings = _findings("""
         def build(items=[]):

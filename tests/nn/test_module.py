@@ -82,6 +82,69 @@ class TestModes:
             Dropout(1.0, rng())
 
 
+class DropoutStack(Module):
+    """A linear layer followed by every dropout registered anywhere in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.linear = Linear(4, 4, rng())
+        self.blocks = ModuleList([Dropout(0.5, rng())])
+
+    def forward(self, x):
+        x = self.linear(x)
+        for module in self.modules():
+            if isinstance(module, Dropout):
+                x = module(x)
+        return x
+
+
+def _count_walks(monkeypatch):
+    walks = {"n": 0}
+    modules = Module.modules
+
+    def counting(self):
+        walks["n"] += 1
+        return modules(self)
+
+    monkeypatch.setattr(Module, "modules", counting)
+    return walks
+
+
+class TestModeEpoch:
+    def test_eval_of_an_eval_tree_walks_nothing(self, monkeypatch):
+        model = TinyModel()
+        model.eval()
+        walks = _count_walks(monkeypatch)
+        model.eval()
+        model.first.eval()
+        with model.inference():
+            pass
+        assert walks["n"] == 0
+        model.train()
+        model.eval()
+        assert walks["n"] > 0
+
+    @pytest.mark.parametrize("change", [
+        lambda model: model.blocks[0].train(),
+        lambda model: model.blocks.append(Dropout(0.5, rng())),
+        lambda model: setattr(model, "tail", Dropout(0.5, rng())),
+    ], ids=["child_train", "module_list_append", "new_submodule"])
+    @pytest.mark.parametrize("enter", ["eval", "inference"])
+    def test_next_eval_reaches_a_changed_tree(self, change, enter):
+        model = DropoutStack()
+        model.eval()
+        change(model)
+        x = Tensor(rng().normal(size=(3, 4)))
+        if enter == "eval":
+            model.eval()
+            out = model(x).data
+        else:
+            with model.inference():
+                out = model(x).data
+        assert not any(module.training for module in model.modules())
+        np.testing.assert_array_equal(out, model.linear(x).data)
+
+
 class TestStateIO:
     def test_state_dict_roundtrip(self):
         model_a, model_b = TinyModel(), TinyModel()

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.corpus import KnowledgeBase, generate_wiki_corpus
+from repro.corpus import (ColumnTypeExample, ImputationExample,
+                          KnowledgeBase, NLIExample, QAExample,
+                          RetrievalExample, Text2SqlExample,
+                          generate_wiki_corpus)
 from repro.models import EncoderConfig, TableBert
+from repro.serve import InferenceEngine, build_predictor
+from repro.serve.requests import SERVED_TASKS
 from repro.text import train_tokenizer
 
 
@@ -34,3 +39,32 @@ def serve_config(serve_tokenizer):
 @pytest.fixture
 def encoder(serve_config, serve_tokenizer):
     return TableBert(serve_config, serve_tokenizer, np.random.default_rng(0))
+
+
+def _served_examples(table):
+    """One example per served task over ``table``."""
+    return [
+        ("qa", QAExample(table, "which entry is the highest", None, ())),
+        ("nli", NLIExample(table, "the table lists entries", 0)),
+        ("imputation", ImputationExample(table, 0, 0, "")),
+        ("coltype", ColumnTypeExample(table, 0, "")),
+        ("retrieval", RetrievalExample(table.context.title, "")),
+        ("text2sql", Text2SqlExample(table, "how many entries are there",
+                                     None)),
+    ]
+
+
+@pytest.fixture
+def six_task_engine(encoder, serve_tables):
+    """An engine serving every task of ``SERVED_TASKS`` over one encoder."""
+    rng = np.random.default_rng(0)
+    return InferenceEngine({task: build_predictor(task, encoder,
+                                                  serve_tables, rng)
+                            for task in SERVED_TASKS})
+
+
+@pytest.fixture
+def six_task_traffic(serve_tables):
+    """Six requests, one per served task, on each of three tables."""
+    return [submission for table in serve_tables[:3]
+            for submission in _served_examples(table)]

@@ -1,12 +1,19 @@
 """EncodingCache: hits, LRU eviction, fingerprint invalidation, dedup."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+import repro.serve.cache
+from repro.nn import SGD, Adam, Linear, Module, ModuleList, Parameter
+from repro.parallel import DataParallelEngine
 from repro.runtime import MetricsRegistry, using_registry
 from repro.serve import (EncodingCache, feature_fingerprint,
                          model_fingerprint, table_fingerprint)
 from repro.tables import Table
+from repro.tasks import FinetuneConfig, finetune
 
 
 def _features(encoder, table, context=None):
@@ -92,6 +99,30 @@ class TestHiddenFor:
             cache.hidden_for(encoder, features)
         assert cache.misses == 2 and cache.hits == 0
 
+    @pytest.mark.parametrize("write", [
+        "rebind", "adam", "sgd", "load_state_dict", "rollback",
+        "data_parallel_sync", "new_parameter", "module_list_append",
+        "replaced_config"])
+    def test_every_weight_write_invalidates(self, encoder, serve_tables,
+                                            write):
+        cache = EncodingCache()
+        features = [_features(encoder, serve_tables[0])]
+
+        def lookup():
+            cache.hidden_for(encoder, features)
+
+        _WRITES[write](encoder, lookup)
+        lookup()
+        assert cache.misses == 2 and cache.hits == 0
+
+    def test_engine_hashes_the_weights_once(self, encoder, six_task_engine,
+                                            six_task_traffic, monkeypatch):
+        spy = _WeightHashSpy(encoder)
+        monkeypatch.setattr(repro.serve.cache, "hashlib", spy)
+        for _ in range(50):
+            six_task_engine.process(six_task_traffic)
+        assert spy.weight_hashes == 1
+
     def test_within_batch_dedup(self, encoder, serve_tables):
         cache = EncodingCache()
         features = [_features(encoder, serve_tables[0]) for _ in range(3)]
@@ -146,3 +177,126 @@ class TestHiddenFor:
         snapshot = {s["name"]: s for s in registry.snapshot()}
         assert snapshot["serve.cache.hits"]["value"] == 1
         assert snapshot["serve.cache.misses"]["value"] == 1
+
+
+class _WeightHashSpy:
+    """``hashlib`` stand-in counting digests fed a model's weight bytes."""
+
+    def __init__(self, model):
+        self.weight = next(iter(model.parameters())).data.tobytes()
+        self.weight_hashes = 0
+
+    def sha256(self):
+        spy, digest = self, hashlib.sha256()
+
+        class Digest:
+            def update(self, data):
+                spy.weight_hashes += data == spy.weight
+                digest.update(data)
+
+            def hexdigest(self):
+                return digest.hexdigest()
+
+        return Digest()
+
+
+def _first_parameter(encoder):
+    return next(iter(encoder.parameters()))
+
+
+def _rebind(encoder, lookup):
+    lookup()
+    param = _first_parameter(encoder)
+    param.data = param.data + 1e-3
+
+
+def _optimizer_step(optimizer_class):
+    def write(encoder, lookup):
+        lookup()
+        param = _first_parameter(encoder)
+        param.grad = np.ones_like(param.data)
+        optimizer_class([param], lr=1e-3).step()
+    return write
+
+
+def _load_state_dict(encoder, lookup):
+    lookup()
+    state = encoder.state_dict()
+    name = next(iter(state))
+    state[name] = state[name] + 1e-3
+    encoder.load_state_dict(state)
+
+
+class _RollbackTask(Module):
+    """Fine-tuning task over the encoder: one good step, then NaN losses.
+
+    The health guard rolls the third bad step back onto the snapshot
+    taken before the good step; the cache is consulted between the good
+    step and the rollback, so only the restore can make the next lookup
+    miss.
+    """
+
+    def __init__(self, encoder, lookup):
+        super().__init__()
+        self.encoder = encoder
+        self.lookup = lookup
+        self.calls = 0
+
+    def loss(self, batch):
+        self.calls += 1
+        param = _first_parameter(self.encoder)
+        value = (param * param).sum()
+        if self.calls == 2:
+            self.lookup()
+        if self.calls > 1:
+            value.data = np.array(float("nan"))
+        return value
+
+
+def _rollback(encoder, lookup):
+    task = _RollbackTask(encoder, lookup)
+    history = finetune(task, [0, 1], FinetuneConfig(epochs=4, batch_size=2))
+    assert [r.extras.get("skipped", False) for r in history] == \
+        [False, True, True, True]
+
+
+def _data_parallel_sync(encoder, lookup):
+    lookup()
+    params = list(encoder.parameters())
+    engine = DataParallelEngine(params, lambda payload: {})
+    engine._sync([param.data + 1e-3 for param in params])
+
+
+# Building a parameter writes its data, so the registrations below are
+# built before ``lookup`` and only registered after it.
+def _new_parameter(encoder, lookup):
+    extra = Parameter(np.ones(2))
+    lookup()
+    encoder.extra = extra
+
+
+def _module_list_append(encoder, lookup):
+    encoder.extras = ModuleList()
+    layer = Linear(2, 2, np.random.default_rng(0))
+    lookup()
+    encoder.extras.append(layer)
+
+
+def _replaced_config(encoder, lookup):
+    lookup()
+    encoder.config = dataclasses.replace(
+        encoder.config, decoder_layers=encoder.config.decoder_layers + 1)
+
+
+#: Every path a weight can change by; each runs ``lookup`` before its write.
+_WRITES = {
+    "rebind": _rebind,
+    "adam": _optimizer_step(Adam),
+    "sgd": _optimizer_step(SGD),
+    "load_state_dict": _load_state_dict,
+    "rollback": _rollback,
+    "data_parallel_sync": _data_parallel_sync,
+    "new_parameter": _new_parameter,
+    "module_list_append": _module_list_append,
+    "replaced_config": _replaced_config,
+}

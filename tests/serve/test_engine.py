@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.corpus import NLIExample
+from repro.nn import Module
 from repro.runtime import InMemorySink, MetricsRegistry, using_registry
 from repro.serve import (
     InferenceEngine,
@@ -52,6 +53,25 @@ class TestDispatch:
         assert first[0].prediction.label == second[0].prediction.label
         assert first[0].prediction.score == pytest.approx(
             second[0].prediction.score)
+
+
+class TestModes:
+    def test_requests_after_warm_up_walk_no_tree(self, six_task_engine,
+                                                 six_task_traffic,
+                                                 monkeypatch):
+        for predictor in six_task_engine.predictors.values():
+            assert not any(module.training
+                           for module in predictor.modules())
+        six_task_engine.process(six_task_traffic)       # warm-up
+        walks = {"n": 0}
+        for name in ("modules", "named_parameters"):
+            def counting(self, *args, walk=getattr(Module, name)):
+                walks["n"] += 1
+                return walk(self, *args)
+            monkeypatch.setattr(Module, name, counting)
+        responses = six_task_engine.process(six_task_traffic)
+        assert len(responses) == len(six_task_traffic)
+        assert walks["n"] == 0
 
 
 class TestTelemetry:

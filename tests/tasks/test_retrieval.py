@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.corpus import build_retrieval_dataset
+from repro.nn import Adam
+from repro.serve import EncodingCache
 from repro.tasks import BiEncoderRetriever, FinetuneConfig, LexicalRetriever, finetune
 
 
@@ -44,6 +46,61 @@ class TestBiEncoder:
                  FinetuneConfig(epochs=8, batch_size=8, learning_rate=3e-3))
         after = retriever.evaluate(examples, wiki_tables)["mrr"]
         assert after > before
+
+
+class TestCorpusIndexMemo:
+    def _counting(self, retriever):
+        calls = {"n": 0}
+        index = retriever.index
+
+        def counting(tables):
+            calls["n"] += 1
+            return index(tables)
+
+        retriever.index = counting
+        return calls
+
+    def _adam_step(self, encoder):
+        param = next(iter(encoder.parameters()))
+        param.grad = np.ones_like(param.data)
+        Adam([param], lr=1e-2).step()
+
+    def test_repeated_requests_index_once(self, bert, wiki_tables, examples):
+        retriever = BiEncoderRetriever(bert, corpus=wiki_tables)
+        calls = self._counting(retriever)
+        for example in examples[:5]:
+            retriever.predict([example], batch_size=1)
+        assert calls["n"] == 1
+
+    def test_reindexes_after_rebinding_and_weight_writes(self, bert,
+                                                         wiki_tables,
+                                                         examples):
+        retriever = BiEncoderRetriever(bert, corpus=wiki_tables)
+        calls = self._counting(retriever)
+        retriever.predict(examples[:1])
+        retriever.bind_corpus(wiki_tables[:6])
+        retriever.predict(examples[:1])
+        assert calls["n"] == 2
+        self._adam_step(bert)
+        retriever.predict(examples[:1])
+        assert calls["n"] == 3
+
+    @pytest.mark.parametrize("cache", [None, EncodingCache()],
+                             ids=["uncached", "cached"])
+    def test_predictions_equal_an_unmemoized_retriever(self, bert,
+                                                       wiki_tables,
+                                                       examples, cache):
+        bert.set_encoding_cache(cache)
+        memoized = BiEncoderRetriever(bert, corpus=wiki_tables)
+        fresh = BiEncoderRetriever(bert, corpus=wiki_tables)
+        for i, example in enumerate(examples[:6]):
+            if i == 3:
+                self._adam_step(bert)
+            fresh._index_memo = None
+            got = memoized.predict([example], batch_size=1)[0]
+            want = fresh.predict([example], batch_size=1)[0]
+            assert (got.label, got.score, got.extras) == \
+                (want.label, want.score, want.extras)
 
 
 class TestLexicalBaseline:
