@@ -568,7 +568,7 @@ def _build_engine(args: argparse.Namespace):
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    from .serve import RequestError, build_example
+    from .serve import RequestError, decode_body
 
     path = Path(args.requests)
     if not path.is_file():
@@ -578,13 +578,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     for number, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            payload = json.loads(line)
-            task = payload.get("task")
-            if not isinstance(task, str):
-                raise RequestError("missing required field 'task'")
-            submissions.append((task, build_example(task, payload)))
-        except (json.JSONDecodeError, RequestError) as error:
+        try:   # a line may hold what a /v1/predict body may hold
+            submissions.extend(decode_body(line)[1])
+        except RequestError as error:
             _fail(f"{args.requests}:{number}: {error}")
     if not submissions:
         _fail(f"no requests found in {args.requests}")

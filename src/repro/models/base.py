@@ -17,7 +17,8 @@ from typing import Callable
 
 from .config import EncoderConfig
 from .structure import dense_mask
-from ..nn import Dropout, Embedding, Encoder, LayerNorm, Module, Tensor
+from ..nn import Dropout, Embedding, Encoder, LayerNorm, Module, Tensor, \
+    is_inference_mode
 from ..serialize import (
     BatchedFeatures,
     RowMajorSerializer,
@@ -66,8 +67,11 @@ class TableEncoder(Module):
     """Shared machinery for every model in the zoo.
 
     Subclasses toggle the structural embedding channels (row/column/role),
-    override :meth:`attention_mask` to inject their attention pattern, and
-    may override :meth:`prepare_table` (e.g. TaBERT's content snapshot).
+    override :meth:`attention_mask` to inject their attention pattern,
+    override :meth:`contextualize` when they run more than the one
+    masked stack (TaBERT, TUTA, TABBIE), and may override
+    :meth:`prepare_table` (e.g. TaBERT's content snapshot).  Only this
+    class defines :meth:`forward`.
     """
 
     model_name = "base"
@@ -150,18 +154,7 @@ class TableEncoder(Module):
         """Structural block mask; vanilla models only mask padding."""
         return dense_mask(batch)
 
-    def structure_arrays(self, batch: BatchedFeatures) -> dict[str, np.ndarray]:
-        """Every batch-derived array the forward pass consumes.
-
-        Subclasses override this (extending ``super()``'s dict) instead of
-        computing masks/biases inline in ``forward``, so each model's
-        structure lives in one place and :meth:`_forward_impl` reads it
-        from ``arrays``.
-        """
-        return {"mask": self.attention_mask(batch)}
-
-    def embed(self, batch: BatchedFeatures,
-              arrays: dict[str, np.ndarray] | None = None) -> Tensor:
+    def embed(self, batch: BatchedFeatures) -> Tensor:
         """Sum the enabled embedding channels and normalize."""
         total = self.token_embedding(batch.token_ids) \
             + self.position_embedding(batch.positions)
@@ -176,21 +169,19 @@ class TableEncoder(Module):
                 Tensor(batch.numeric_features))
         return self.embedding_dropout(self.embedding_norm(total))
 
-    def _forward_impl(self, batch: BatchedFeatures,
-                      arrays: dict[str, np.ndarray]) -> Tensor:
-        """The actual op graph; consumes only ``batch`` + ``arrays``."""
-        return self.encoder(self.embed(batch, arrays), mask=arrays["mask"])
+    def contextualize(self, embedded: Tensor,
+                      batch: BatchedFeatures) -> Tensor:
+        """The transformer over embedded tokens, under this model's mask.
 
-    def forward(self, batch: BatchedFeatures,
-                arrays: dict[str, np.ndarray] | None = None) -> Tensor:
-        """Hidden states of shape ``(batch, seq, dim)``.
-
-        Template method: computes :meth:`structure_arrays` when not
-        supplied, then runs :meth:`_forward_impl`.
+        Families with more than one stack or an attention bias (TaBERT,
+        TUTA, TABBIE) override this; :mod:`repro.viz` differentiates
+        through it, so saliency explains the network that answers.
         """
-        if arrays is None:
-            arrays = self.structure_arrays(batch)
-        return self._forward_impl(batch, arrays)
+        return self.encoder(embedded, mask=self.attention_mask(batch))
+
+    def forward(self, batch: BatchedFeatures) -> Tensor:
+        """Hidden states of shape ``(batch, seq, dim)``."""
+        return self.contextualize(self.embed(batch), batch)
 
     # ------------------------------------------------------------------
     # Inference API (Fig. 2a)
@@ -198,28 +189,31 @@ class TableEncoder(Module):
     def set_encoding_cache(self, cache) -> None:
         """Attach (or detach with ``None``) a serve-layer encoding cache.
 
-        Once attached, every :meth:`infer_hidden` call — and therefore
-        every task ``predict`` path and :meth:`encode` — reuses hidden
-        states for inputs it has already encoded under the current
-        weights.
+        Once attached, every tape-free :meth:`hidden` call — and
+        therefore every task ``predict`` path and :meth:`encode` —
+        reuses hidden states for inputs it has already encoded under the
+        current weights.
         """
         self.encoding_cache = cache
 
-    def infer_hidden(
+    def hidden(
         self,
         tables: list[Table],
         contexts: list[str | None] | None = None,
         feature_hook: "Callable[[int, TableFeatures, SerializedTable], None] | None" = None,
     ) -> tuple[Tensor, list[SerializedTable]]:
-        """Batched no-grad hidden states, served from the cache when attached.
+        """Hidden states ``(batch, seq, dim)`` of ``tables``, and their
+        serializations for span lookup.
 
-        The inference twin of ``self(batch)``: serializes and featurizes
-        each table, runs the transformer under
-        :class:`~repro.nn.inference_mode` (no autograd tape), and returns
-        a right-padded ``(batch, seq, dim)`` tensor plus the serialized
-        tables for span lookup.  With an attached
-        :class:`~repro.serve.EncodingCache`, previously seen inputs skip
-        the encoder forward entirely.
+        The one way a task reaches the encoder, from its loss and its
+        predictions alike.  It switches no mode: by default it returns
+        the forward of the padded batch, taped in a training step.  An
+        attached :class:`~repro.serve.EncodingCache` serves only
+        tape-free calls (inside :meth:`~repro.nn.Module.inference`):
+        previously seen inputs skip serialization and the encoder
+        forward, and positions past an example's length hold zeros
+        instead of padding states.  Heads read only [CLS] and spans
+        inside each example, so both forms give the same answers.
 
         Parameters
         ----------
@@ -232,7 +226,8 @@ class TableEncoder(Module):
         """
         if contexts is None:
             contexts = [None] * len(tables)
-        if self.encoding_cache is None:
+        cache = self.encoding_cache if is_inference_mode() else None
+        if cache is None:
             serialized = [self.serialize(t, c)
                           for t, c in zip(tables, contexts)]
             features = [self.features(s, table=t)
@@ -240,20 +235,14 @@ class TableEncoder(Module):
         else:
             # Repeated tables skip re-serialization too — on a cache-hit
             # workload, tokenization rivals the forward pass in cost.
-            serialized, features = self.encoding_cache.features_for(
-                self, tables, contexts)
+            serialized, features = cache.features_for(self, tables, contexts)
         if feature_hook is not None:
             for i, (feats, ser) in enumerate(zip(features, serialized)):
                 feature_hook(i, feats, ser)
-        with self.inference():
-            if self.encoding_cache is None:
-                batch = pad_batch(features,
-                                  pad_id=self.tokenizer.vocab.pad_id)
-                data = self.forward(batch).data
-                per_example = [data[i, : len(features[i])]
-                               for i in range(len(features))]
-            else:
-                per_example = self.encoding_cache.hidden_for(self, features)
+        if cache is None:
+            batch = pad_batch(features, pad_id=self.tokenizer.vocab.pad_id)
+            return self(batch), serialized
+        per_example = cache.hidden_for(self, features)
         seq_len = max(len(f) for f in features)
         hidden = np.zeros((len(features), seq_len, per_example[0].shape[-1]))
         for i, states in enumerate(per_example):
@@ -262,7 +251,8 @@ class TableEncoder(Module):
 
     def encode(self, table: Table, context: str | None = None) -> TableEncoding:
         """Encode one table into multi-granularity vectors (no gradients)."""
-        hidden_batch, serialized_list = self.infer_hidden([table], [context])
+        with self.inference():
+            hidden_batch, serialized_list = self.hidden([table], [context])
         hidden = hidden_batch.data[0]
         serialized = serialized_list[0]
 

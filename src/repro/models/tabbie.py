@@ -41,14 +41,10 @@ class Tabbie(TableEncoder):
             rng=rng, dropout=config.dropout,
         )
 
-    def structure_arrays(self, batch: BatchedFeatures) -> dict[str, np.ndarray]:
-        return {"row_mask": horizontal_mask(batch),
-                "column_mask": vertical_mask(batch)}
-
-    def _forward_impl(self, batch: BatchedFeatures,
-                      arrays: dict[str, np.ndarray]) -> Tensor:
-        embedded = self.embed(batch, arrays)
-        row_view = self.encoder(embedded, mask=arrays["row_mask"])
+    def contextualize(self, embedded: Tensor,
+                      batch: BatchedFeatures) -> Tensor:
+        """Mean of the row view and the column view of the same tokens."""
+        row_view = self.encoder(embedded, mask=horizontal_mask(batch))
         column_view = self.column_encoder(embedded,
-                                          mask=arrays["column_mask"])
+                                          mask=vertical_mask(batch))
         return (row_view + column_view) * 0.5

@@ -58,13 +58,8 @@ class TaBert(TableEncoder):
             return table.subtable(row_indices=range(self.snapshot_rows))
         return select_relevant_rows(table, query, max_rows=self.snapshot_rows)
 
-    def structure_arrays(self, batch: BatchedFeatures) -> dict[str, np.ndarray]:
-        arrays = super().structure_arrays(batch)
-        arrays["vertical_mask"] = vertical_mask(batch)
-        return arrays
-
-    def _forward_impl(self, batch: BatchedFeatures,
-                      arrays: dict[str, np.ndarray]) -> Tensor:
-        hidden = self.encoder(self.embed(batch, arrays),
-                              mask=arrays["mask"])
-        return self.vertical_encoder(hidden, mask=arrays["vertical_mask"])
+    def contextualize(self, embedded: Tensor,
+                      batch: BatchedFeatures) -> Tensor:
+        """The base stack, then the vertical layers under a column mask."""
+        return self.vertical_encoder(super().contextualize(embedded, batch),
+                                     mask=vertical_mask(batch))

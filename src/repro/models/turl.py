@@ -46,20 +46,9 @@ class Turl(TableEncoder):
     def attention_mask(self, batch: BatchedFeatures) -> np.ndarray:
         return visibility_mask(batch)
 
-    def structure_arrays(self, batch: BatchedFeatures) -> dict[str, np.ndarray]:
-        arrays = super().structure_arrays(batch)
-        # Clamp KB ids into the embedding range *here*, with the other
-        # batch-derived arrays, rather than in embed.
-        arrays["entity_slots"] = np.minimum(batch.entity_ids,
-                                            self.config.num_entities)
-        return arrays
-
-    def embed(self, batch: BatchedFeatures,
-              arrays: dict[str, np.ndarray] | None = None) -> Tensor:
+    def embed(self, batch: BatchedFeatures) -> Tensor:
         """Standard channels plus the entity embedding for linked cells."""
-        slots = (arrays or {}).get("entity_slots")
-        if slots is None:
-            slots = np.minimum(batch.entity_ids, self.config.num_entities)
+        slots = np.minimum(batch.entity_ids, self.config.num_entities)
         total = self.token_embedding(batch.token_ids) \
             + self.position_embedding(batch.positions) \
             + self.row_embedding(batch.row_ids) \

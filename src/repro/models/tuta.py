@@ -40,12 +40,9 @@ class Tuta(TableEncoder):
         super().__init__(config, tokenizer, rng, serializer=serializer)
         self.distance_strength = distance_strength
 
-    def structure_arrays(self, batch: BatchedFeatures) -> dict[str, np.ndarray]:
-        return {"mask": dense_mask(batch),
-                "bias": tree_distance_bias(batch,
-                                           strength=self.distance_strength)}
-
-    def _forward_impl(self, batch: BatchedFeatures,
-                      arrays: dict[str, np.ndarray]) -> Tensor:
-        return self.encoder(self.embed(batch, arrays), mask=arrays["mask"],
-                            bias=arrays["bias"])
+    def contextualize(self, embedded: Tensor,
+                      batch: BatchedFeatures) -> Tensor:
+        """One stack under the padding mask and the tree-distance bias."""
+        return self.encoder(embedded, mask=dense_mask(batch),
+                            bias=tree_distance_bias(
+                                batch, strength=self.distance_strength))

@@ -15,14 +15,18 @@ worker → parent
     ``("ok", [(shard_index, grads, stats, seconds), …])``
     ``("error", traceback_text)``       the shard compute raised
 
-``params`` (the current parameter arrays) rides along only on the first
-message a worker incarnation sees in a step; the worker writes them into
-its inherited parameter objects before computing, so forked copies never
-drift from the parent.  While a worker is computing, a daemon heartbeat
-thread sends ``("hb",)`` frames every ``heartbeat_interval`` seconds
-(pipe writes serialized by a lock) so the supervisor can distinguish a
-*wedged* process (silent) from a *slow* one (still beating) — see the
-failure matrix in DESIGN.md "Elastic data-parallel training".
+``params`` (the step-start parameter arrays) rides along on every
+data-parallel assignment: a slot receives one per step, and a
+replacement receives its lost predecessor's.  The worker writes them
+into its inherited parameter objects before computing, so forked copies
+never drift from the parent.  The serving front-end sends ``None``: a
+replica keeps the weights it was forked with.
+
+While a worker is computing, a daemon heartbeat thread sends ``("hb",)``
+frames every ``heartbeat_interval`` seconds (pipe writes serialized by a
+lock) so the supervisor can distinguish a *wedged* process (silent) from
+a *slow* one (still beating) — see the failure matrix in DESIGN.md
+"Elastic data-parallel training".
 
 The pool manages **worker slots**: each slot holds one live process at a
 time.  It is also the one supervisor of those slots for both of its

@@ -38,7 +38,7 @@ from .requests import (
     json_safe_label,
     parse_table,
 )
-from .server import ServerConfig, make_http_server, run_server
+from .server import ServerConfig, decode_body, make_http_server, run_server
 
 __all__ = [
     "EncodingCache", "feature_fingerprint", "model_fingerprint",
@@ -47,5 +47,5 @@ __all__ = [
     "AdmissionQueue", "FrontendConfig", "ReplicatedFrontend", "ServeTicket",
     "SERVED_TASKS", "RequestError", "affinity_key", "build_example",
     "build_predictor", "json_safe_label", "parse_table",
-    "ServerConfig", "make_http_server", "run_server",
+    "ServerConfig", "decode_body", "make_http_server", "run_server",
 ]

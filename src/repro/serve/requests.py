@@ -54,6 +54,14 @@ def _require(payload: dict[str, Any], field: str) -> Any:
     return payload[field]
 
 
+def _require_int(payload: dict[str, Any], field: str) -> int:
+    value = _require(payload, field)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise RequestError(f"field {field!r} must be an integer") from error
+
+
 def parse_table(spec: Any) -> Table:
     """Decode a request's table: inline header/rows dict or a CSV path."""
     if isinstance(spec, Table):
@@ -63,10 +71,18 @@ def parse_table(spec: Any) -> Table:
     if not isinstance(spec, dict):
         raise RequestError("table must be an object or a CSV path string")
     if "csv" in spec:
+        if not isinstance(spec["csv"], str):
+            raise RequestError("table csv must be a path string")
         path = Path(spec["csv"])
-        if not path.is_file():
-            raise RequestError(f"table file not found: {path}")
-        return load_table(path, title=spec.get("title", ""))
+        try:
+            if path.is_file():
+                return load_table(path, title=str(spec.get("title", "")))
+        # A name too long for the file system, an unreadable file, or
+        # bytes that are no UTF-8 CSV (UnicodeDecodeError, ValueError).
+        except (OSError, ValueError) as error:
+            raise RequestError(f"cannot read table file {path}: "
+                               f"{error}") from error
+        raise RequestError(f"table file not found: {path}")
     header = _require(spec, "header")
     rows = _require(spec, "rows")
     if not isinstance(header, (list, tuple)):
@@ -78,7 +94,7 @@ def parse_table(spec: Any) -> Table:
     try:
         return Table(header, rows, context=context,
                      table_id=str(spec.get("table_id", "")))
-    except ValueError as error:
+    except (TypeError, ValueError) as error:   # e.g. a row that is no list
         raise RequestError(str(error)) from error
 
 
@@ -97,13 +113,13 @@ def build_example(task: str, payload: dict[str, Any]) -> Any:
     if task == "nli":
         return NLIExample(table, str(_require(payload, "statement")), 0)
     if task == "imputation":
-        row, column = int(_require(payload, "row")), int(_require(payload, "column"))
+        row, column = _require_int(payload, "row"), _require_int(payload, "column")
         if not (0 <= row < table.num_rows and 0 <= column < table.num_columns):
             raise RequestError(f"cell ({row}, {column}) outside table "
                                f"shape {table.shape}")
         return ImputationExample(table, row, column, "")
     if task == "coltype":
-        column = int(_require(payload, "column"))
+        column = _require_int(payload, "column")
         if not 0 <= column < table.num_columns:
             raise RequestError(f"column {column} outside table "
                                f"shape {table.shape}")

@@ -59,7 +59,7 @@ from .frontend import FrontendConfig, ReplicatedFrontend, ServeTicket
 from .requests import RequestError, build_example
 from ..runtime import get_registry
 
-__all__ = ["ServerConfig", "run_server", "make_http_server"]
+__all__ = ["ServerConfig", "decode_body", "run_server", "make_http_server"]
 
 #: ticket error code → HTTP status.  Unlisted codes are server bugs.
 _ERROR_STATUS = {
@@ -112,8 +112,21 @@ def _error_body(code: str, message: str, retryable: bool) -> dict[str, Any]:
                       "retryable": retryable}}
 
 
-def _decode_body(body: Any) -> tuple[bool, list[tuple[str, Any]]]:
-    """Decode one POST body into typed submissions (raises RequestError)."""
+def decode_body(raw: bytes | str) -> tuple[bool, list[tuple[str, Any]]]:
+    """Decode one POST body into typed submissions.
+
+    ``raw`` is JSON text holding a request object or a non-empty list of
+    them; returns whether it was a single object, and the ``(task,
+    example)`` pairs.  Raises :class:`RequestError` for anything else.
+    ``repro predict`` decodes each line of its request file with it.
+    """
+    try:
+        body = json.loads(raw)
+    # JSONDecodeError, the UnicodeDecodeError of bytes that are no UTF-8
+    # and a number past int()'s digit limit are ValueErrors; too deep a
+    # nesting is a RecursionError.
+    except (ValueError, RecursionError) as error:
+        raise RequestError(str(error)) from error
     single = isinstance(body, dict)
     items = [body] if single else body
     if not isinstance(items, list) or not items:
@@ -239,9 +252,8 @@ def make_http_server(engine: InferenceEngine,
             if raw is None:
                 return
             try:
-                body = json.loads(raw or b"null")
-                single, submissions = _decode_body(body)
-            except (json.JSONDecodeError, RequestError) as error:
+                single, submissions = decode_body(raw or b"null")
+            except RequestError as error:
                 self._reply(400, _error_body("bad_request", str(error),
                                              False))
                 return

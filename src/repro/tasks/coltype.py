@@ -43,9 +43,8 @@ class ColumnTypePredictor(Module):
         self.label_to_id = {l: i for i, l in enumerate(self.labels)}
         self.head = ClassificationHead(encoder.config.dim, len(self.labels), rng)
 
-    @staticmethod
-    def _pool_columns(hidden: Tensor, examples: list[ColumnTypeExample],
-                      serialized: list) -> Tensor:
+    def _column_vectors(self, examples: list[ColumnTypeExample]) -> Tensor:
+        hidden, serialized = self.encoder.hidden([e.table for e in examples])
         pooled = []
         for i, (example, table) in enumerate(zip(examples, serialized)):
             spans = [span for (row, col), span in table.cell_spans.items()
@@ -57,12 +56,6 @@ class ColumnTypePredictor(Module):
             else:
                 pooled.append(hidden[i, 0])
         return Tensor.stack(pooled)
-
-    def _column_vectors(self, examples: list[ColumnTypeExample]) -> Tensor:
-        tables = [e.table for e in examples]
-        batch, serialized = self.encoder.batch(tables)
-        hidden = self.encoder(batch)
-        return self._pool_columns(hidden, examples, serialized)
 
     def logits(self, examples: list[ColumnTypeExample]) -> Tensor:
         return self.head(self._column_vectors(examples))
@@ -77,10 +70,7 @@ class ColumnTypePredictor(Module):
 
     def _predict_batch(self, examples: list[ColumnTypeExample]
                        ) -> list[Prediction]:
-        tables = [e.table for e in examples]
-        hidden, serialized = self.encoder.infer_hidden(tables)
-        pooled = self._pool_columns(hidden, examples, serialized)
-        logits = self.head(pooled).data
+        logits = self.logits(examples).data
         probabilities = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probabilities /= probabilities.sum(axis=-1, keepdims=True)
         indices = logits.argmax(axis=-1)

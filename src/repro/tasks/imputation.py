@@ -79,42 +79,29 @@ class _ImputerBase(Module):
         super().__init__()
         self.encoder = encoder
 
-    def _encode_examples(self, examples: list[ImputationExample]):
-        tables = [e.table for e in examples]
-        batch, serialized = self.encoder.batch(tables)
-        mask_id = self.encoder.tokenizer.vocab.mask_id
-        spans = []
-        for i, (e, s) in enumerate(zip(examples, serialized)):
-            span = s.cell_spans.get((e.row, e.column), (0, 0))
-            spans.append(span)
-            start, end = span
-            batch.token_ids[i, start:end] = mask_id
-        hidden = self.encoder(batch)
-        return hidden, spans
+    def _pooled(self, examples: list[ImputationExample]) -> Tensor:
+        """Pooled vectors of each example's blanked cell, ``(batch, dim)``.
 
-    def _infer_pooled(self, examples: list[ImputationExample]) -> Tensor:
-        """Pooled blank-span vectors via the cache-aware inference path.
-
-        The ``[MASK]`` substitution happens through ``infer_hidden``'s
-        feature hook so the cache key covers the masked span — repeated
-        queries against the same (table, cell) hit, different cells of
-        the same table do not collide.
+        The ``[MASK]`` substitution happens through ``hidden``'s feature
+        hook, so a cache key covers the masked span — repeated queries
+        against the same (table, cell) hit, different cells of the same
+        table do not collide.
         """
-        tables = [e.table for e in examples]
         mask_id = self.encoder.tokenizer.vocab.mask_id
+
+        def blank(i: int, serialized) -> tuple[int, int]:
+            example = examples[i]
+            return serialized.cell_spans.get((example.row, example.column),
+                                             (0, 0))
 
         def mask_blank(i, features, serialized):
-            example = examples[i]
-            start, end = serialized.cell_spans.get(
-                (example.row, example.column), (0, 0))
+            start, end = blank(i, serialized)
             features.token_ids[start:end] = mask_id
 
-        hidden, serialized = self.encoder.infer_hidden(
-            tables, feature_hook=mask_blank)
-        spans = [s.cell_spans.get((e.row, e.column), (0, 0))
-                 for e, s in zip(examples, serialized)]
-        return Tensor.stack(
-            [pooled_span(hidden, i, span) for i, span in enumerate(spans)])
+        hidden, serialized = self.encoder.hidden(
+            [e.table for e in examples], feature_hook=mask_blank)
+        return Tensor.stack([pooled_span(hidden, i, blank(i, s))
+                             for i, s in enumerate(serialized)])
 
 
 class ValueImputer(_ImputerBase):
@@ -133,10 +120,7 @@ class ValueImputer(_ImputerBase):
 
     def logits(self, examples: list[ImputationExample]) -> Tensor:
         """Value-vocabulary logits, ``(batch, |vocabulary|)``."""
-        hidden, spans = self._encode_examples(examples)
-        pooled = Tensor.stack(
-            [pooled_span(hidden, i, span) for i, span in enumerate(spans)])
-        return self.head(pooled)
+        return self.head(self._pooled(examples))
 
     def loss(self, examples: list[ImputationExample]) -> Tensor:
         targets = np.array(
@@ -148,7 +132,7 @@ class ValueImputer(_ImputerBase):
 
     def _predict_batch(self, examples: list[ImputationExample]
                        ) -> list[Prediction]:
-        logits = self.head(self._infer_pooled(examples)).data
+        logits = self.logits(examples).data
         probabilities = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probabilities /= probabilities.sum(axis=-1, keepdims=True)
         indices = logits.argmax(axis=-1)
@@ -187,10 +171,7 @@ class EntityImputer(_ImputerBase):
         super().__init__(encoder)
 
     def _entity_logits(self, examples: list[ImputationExample]) -> Tensor:
-        hidden, spans = self._encode_examples(examples)
-        pooled = Tensor.stack(
-            [pooled_span(hidden, i, span) for i, span in enumerate(spans)])
-        return self.encoder.mer_head(pooled)
+        return self.encoder.mer_head(self._pooled(examples))
 
     def loss(self, examples: list[ImputationExample]) -> Tensor:
         targets = np.array(
@@ -203,7 +184,7 @@ class EntityImputer(_ImputerBase):
 
     def _predict_batch(self, examples: list[ImputationExample]
                        ) -> list[Prediction]:
-        logits = self.encoder.mer_head(self._infer_pooled(examples)).data
+        logits = self._entity_logits(examples).data
         probabilities = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probabilities /= probabilities.sum(axis=-1, keepdims=True)
         slots = logits.argmax(axis=-1)

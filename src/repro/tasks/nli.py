@@ -28,10 +28,8 @@ class NliClassifier(Module):
         self.head = ClassificationHead(encoder.config.dim, 2, rng)
 
     def logits(self, examples: list[NLIExample]) -> Tensor:
-        tables = [e.table for e in examples]
-        statements = [e.statement for e in examples]
-        batch, _ = self.encoder.batch(tables, statements)
-        hidden = self.encoder(batch)
+        hidden, _ = self.encoder.hidden([e.table for e in examples],
+                                        [e.statement for e in examples])
         return self.head(hidden[:, 0])
 
     def loss(self, examples: list[NLIExample]) -> Tensor:
@@ -39,10 +37,7 @@ class NliClassifier(Module):
         return cross_entropy(self.logits(examples), targets)
 
     def _predict_batch(self, examples: list[NLIExample]) -> list[Prediction]:
-        tables = [e.table for e in examples]
-        statements = [e.statement for e in examples]
-        hidden, _ = self.encoder.infer_hidden(tables, statements)
-        logits = self.head(hidden[:, 0]).data
+        logits = self.logits(examples).data
         probabilities = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probabilities /= probabilities.sum(axis=-1, keepdims=True)
         labels = logits.argmax(axis=-1)

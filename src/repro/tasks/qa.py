@@ -35,12 +35,9 @@ class CellSelectionQA(Module):
 
     # ------------------------------------------------------------------
     def _forward(self, examples: list[QAExample]):
-        tables = [e.table for e in examples]
-        questions = [e.question for e in examples]
-        batch, serialized = self.encoder.batch(tables, questions)
-        hidden = self.encoder(batch)
-        scores = self.head.token_scores(hidden)
-        return scores, serialized
+        hidden, serialized = self.encoder.hidden(
+            [e.table for e in examples], [e.question for e in examples])
+        return self.head.token_scores(hidden), serialized
 
     def loss(self, examples: list[QAExample]) -> Tensor:
         """Binary cross entropy on cell tokens (positives = answer cells)."""
@@ -66,10 +63,7 @@ class CellSelectionQA(Module):
     # Inference (TaskPredictor protocol)
     # ------------------------------------------------------------------
     def _predict_batch(self, examples: list[QAExample]) -> list[Prediction]:
-        tables = [e.table for e in examples]
-        questions = [e.question for e in examples]
-        hidden, serialized = self.encoder.infer_hidden(tables, questions)
-        scores = self.head.token_scores(hidden)
+        scores, serialized = self._forward(examples)
         predictions: list[Prediction] = []
         for i, table in enumerate(serialized):
             best, best_score = None, -np.inf

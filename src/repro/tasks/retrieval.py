@@ -47,12 +47,13 @@ class BiEncoderRetriever(Module):
 
     # ------------------------------------------------------------------
     def _query_cls(self, queries: list[str]) -> Tensor:
-        batch, _ = self.encoder.batch([_EMPTY_TABLE] * len(queries), queries)
-        return self.encoder(batch)[:, 0]
+        hidden, _ = self.encoder.hidden([_EMPTY_TABLE] * len(queries),
+                                        queries)
+        return hidden[:, 0]
 
     def _table_cls(self, tables: list[Table]) -> Tensor:
-        batch, _ = self.encoder.batch(tables)
-        return self.encoder(batch)[:, 0]
+        hidden, _ = self.encoder.hidden(tables)
+        return hidden[:, 0]
 
     def loss(self, examples: list[RetrievalExample]) -> Tensor:
         """In-batch contrastive loss over aligned (query, table) pairs.
@@ -73,8 +74,8 @@ class BiEncoderRetriever(Module):
         Runs through the cache-aware inference path, so re-indexing an
         unchanged corpus is free once an encoding cache is attached.
         """
-        hidden, _ = self.encoder.infer_hidden(tables)
-        vectors = hidden.data[:, 0]
+        with self.inference():
+            vectors = self._table_cls(tables).data
         norms = np.linalg.norm(vectors, axis=-1, keepdims=True) + 1e-9
         return vectors / norms, [t.table_id for t in tables]
 
@@ -98,9 +99,8 @@ class BiEncoderRetriever(Module):
         return memo[2]
 
     def _query_vectors(self, queries: list[str]) -> np.ndarray:
-        hidden, _ = self.encoder.infer_hidden(
-            [_EMPTY_TABLE] * len(queries), queries)
-        vectors = hidden.data[:, 0]
+        with self.inference():
+            vectors = self._query_cls(queries).data
         return vectors / (np.linalg.norm(vectors, axis=-1, keepdims=True)
                           + 1e-9)
 

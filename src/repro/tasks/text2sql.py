@@ -50,11 +50,8 @@ class SketchParser(Module):
 
     # ------------------------------------------------------------------
     def _encode(self, examples: list[Text2SqlExample]):
-        tables = [e.table for e in examples]
-        questions = [e.question for e in examples]
-        batch, serialized = self.encoder.batch(tables, questions)
-        hidden = self.encoder(batch)
-        return hidden, serialized
+        return self.encoder.hidden([e.table for e in examples],
+                                   [e.question for e in examples])
 
     @staticmethod
     def _header_spans(serialized) -> list[tuple[int, tuple[int, int]]]:
@@ -133,9 +130,7 @@ class SketchParser(Module):
     # ------------------------------------------------------------------
     def _predict_batch(self, examples: list[Text2SqlExample]
                        ) -> list[Prediction]:
-        tables = [e.table for e in examples]
-        questions = [e.question for e in examples]
-        hidden, serialized = self.encoder.infer_hidden(tables, questions)
+        hidden, serialized = self._encode(examples)
         predictions: list[Prediction] = []
         for i, (example, table) in enumerate(zip(examples, serialized)):
             headers = self._header_spans(table)

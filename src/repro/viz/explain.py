@@ -69,15 +69,17 @@ def explain_scalar(model: TableEncoder, batch: BatchedFeatures,
     """Gradient × input saliency per token for one scalar output.
 
     ``scalar_fn`` maps the encoder hidden states ``(B, T, D)`` to the
-    scalar being explained (a logit, a cell score, a similarity).  Returns
-    per-token saliency of shape ``(B, T)``.
+    scalar being explained (a logit, a cell score, a similarity).  Those
+    are the states ``model(batch)`` computes, through every stack, mask
+    and bias of the family, split at the embedding output whose gradient
+    the saliency reads.  Returns per-token saliency of shape ``(B, T)``.
     """
     was_training = model.training
     model.eval()
     try:
         model.zero_grad()
         embedded = model.embed(batch)
-        hidden = model.encoder(embedded, mask=model.attention_mask(batch))
+        hidden = model.contextualize(embedded, batch)
         scalar = scalar_fn(hidden)
         if scalar.data.size != 1:
             raise ValueError("scalar_fn must reduce to a single value")

@@ -19,10 +19,10 @@ FUSED = {"layer_norm", "linear", "attention_softmax"}
 
 
 def hidden_bytes(model, tables):
-    """Bytes of ``infer_hidden`` over a fixed batch, and the ops it ran."""
+    """Bytes of tape-free ``hidden`` over a fixed batch, and the ops it ran."""
     encoder = model.encoder if isinstance(model, Tapex) else model
-    with profile(emit=False) as prof:
-        hidden, _ = encoder.infer_hidden(
+    with profile(emit=False) as prof, encoder.inference():
+        hidden, _ = encoder.hidden(
             tables, ["which country has the largest population"]
             + [None] * (len(tables) - 1))
     return hidden.data.tobytes(), set(prof.stats)

@@ -87,6 +87,28 @@ class TestPredictCommand:
         assert excinfo.value.code == 2
         assert "bad.jsonl:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        '"text"',
+        '{"task": "imputation", "table": {"header": ["a"], "rows": [["1"]]},'
+        ' "row": "x", "column": 0}',
+        '{"task": "coltype", "table": {"header": ["a"], "rows": [["1"]]},'
+        ' "column": [0]}',
+    ], ids=["list", "string", "bad-row", "list-column"])
+    def test_malformed_line_fails_with_line_number(self, corpus_dir,
+                                                   tmp_path, capsys, line):
+        request_path = tmp_path / "bad.jsonl"
+        request_path.write_text(
+            '{"task": "retrieval", "query": "anything"}\n' + line + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["predict", str(request_path), str(corpus_dir),
+                  "--model", "bert"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"repro: error: {request_path}:2: ")
+
     def test_missing_request_file(self, corpus_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["predict", str(tmp_path / "nope.jsonl"), str(corpus_dir)])

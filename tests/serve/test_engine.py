@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.corpus import NLIExample
+from repro.corpus import (ColumnTypeExample, ImputationExample,
+                          NLIExample, QAExample, RetrievalExample,
+                          Text2SqlExample)
 from repro.nn import Module
 from repro.runtime import InMemorySink, MetricsRegistry, using_registry
 from repro.serve import (
@@ -27,6 +31,29 @@ def nli(encoder):
 
 def _example(tables, i=0, statement="a statement"):
     return NLIExample(tables[i], statement, 0)
+
+
+_EXAMPLE_TYPES = {"qa": QAExample, "nli": NLIExample,
+                  "imputation": ImputationExample,
+                  "coltype": ColumnTypeExample,
+                  "retrieval": RetrievalExample, "text2sql": Text2SqlExample}
+_TABLE = {"header": ["a"], "rows": [["1"]]}
+
+# Any JSON value, and request payloads whose fields hold JSON values or,
+# to reach past table decoding, well-shaped tables.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+_CELLS = st.lists(st.text(max_size=4), max_size=2)
+_TABLES = _JSON | st.fixed_dictionaries({}, optional={
+    "header": _CELLS | _JSON, "rows": st.lists(_CELLS | _JSON, max_size=2),
+    "csv": _JSON, "title": _JSON, "caption": _JSON, "table_id": _JSON})
+_PAYLOADS = st.fixed_dictionaries({}, optional={
+    "table": _TABLES, "question": _JSON, "statement": _JSON,
+    "query": _JSON, "row": _JSON, "column": _JSON})
 
 
 class TestDispatch:
@@ -113,6 +140,14 @@ class TestRequestDecoding:
         with pytest.raises(RequestError):
             parse_table({"header": ["a"], "rows": [["1", "2"]]})
 
+    @pytest.mark.parametrize("content", [b"", b"\xff\xfe\x00"],
+                             ids=["empty", "not-utf8"])
+    def test_unreadable_csv_file_is_a_request_error(self, tmp_path, content):
+        path = tmp_path / "table.csv"
+        path.write_bytes(content)
+        with pytest.raises(RequestError, match="cannot read table file"):
+            parse_table({"csv": str(path)})
+
     def test_build_example_validates(self):
         table = {"header": ["a"], "rows": [["1"]]}
         with pytest.raises(RequestError):
@@ -124,6 +159,24 @@ class TestRequestDecoding:
             build_example("nope", {"table": table})
         example = build_example("nli", {"table": table, "statement": "s"})
         assert example.statement == "s"
+
+    @settings(max_examples=300, deadline=None)
+    @given(task=st.sampled_from(SERVED_TASKS), payload=_PAYLOADS)
+    @example(task="imputation", payload={"table": _TABLE, "row": "x",
+                                         "column": 0})
+    @example(task="coltype", payload={"table": _TABLE, "column": [0]})
+    @example(task="coltype", payload={"table": _TABLE, "column": 1e400})
+    @example(task="nli", payload={"table": {"header": ["a"], "rows": [1]},
+                                  "statement": "s"})
+    @example(task="nli", payload={"table": {"csv": 5}, "statement": "s"})
+    @example(task="nli", payload={"table": {"csv": "a" * 300},
+                                  "statement": "s"})
+    def test_build_example_raises_only_request_errors(self, task, payload):
+        try:
+            decoded = build_example(task, payload)
+        except RequestError:
+            return
+        assert isinstance(decoded, _EXAMPLE_TYPES[task])
 
     def test_build_predictor_covers_served_tasks(self, encoder, serve_tables):
         rng = np.random.default_rng(0)

@@ -50,7 +50,8 @@ class _Client:
     def call(self, path, payload=None):
         worker = threading.Thread(target=self.server.handle_request)
         worker.start()
-        data = None if payload is None else json.dumps(payload).encode()
+        data = payload if payload is None or isinstance(payload, bytes) \
+            else json.dumps(payload).encode()
         try:
             with urllib.request.urlopen(
                     f"http://127.0.0.1:{self.port}{path}", data=data,
@@ -151,6 +152,32 @@ class TestErrorEnvelope:
         assert body["error"]["code"] == "bad_request"
         assert body["error"]["retryable"] is False
         assert "message" in body["error"]
+
+    @pytest.mark.parametrize("body", [
+        b'{"task": "imputation", "table": {"header": ["a"], "rows": [["1"]]},'
+        b' "row": "x", "column": 0}',
+        b'{"task": "coltype", "table": {"header": ["a"], "rows": [["1"]]},'
+        b' "column": [0]}',
+        b'{"task": "coltype", "table": {"header": ["a"], "rows": [["1"]]},'
+        b' "column": 1e400}',
+        b'{"task": "nli", "table": {"header": ["a"], "rows": [1]},'
+        b' "statement": "s"}',
+        b'{"task": "nli", "table": {"csv": 5}, "statement": "s"}',
+    ], ids=["row-string", "column-list", "column-overflow", "row-not-list",
+            "csv-not-string"])
+    def test_malformed_fields_answer_400(self, client, body):
+        status, _, reply = client.call("/v1/predict", body)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_request"
+        assert reply["error"]["retryable"] is False
+
+    @pytest.mark.parametrize("body", [
+        b"\xff{}", b"1" * 5000, b"[" * 100_000,
+    ], ids=["not-utf8", "5000-digit-number", "nested-too-deep"])
+    def test_undecodable_bodies_answer_400(self, client, body):
+        status, _, reply = client.call("/v1/predict", body)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_request"
 
     def test_unknown_task(self, client):
         status, _, body = client.call("/v1/predict", {"task": "nope"})

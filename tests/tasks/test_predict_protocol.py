@@ -11,6 +11,8 @@ from repro.corpus import (
     build_retrieval_dataset,
     build_text2sql_dataset,
 )
+from repro.models import TableEncoder
+from repro.serve import EncodingCache
 from repro.tasks import (
     BiEncoderRetriever,
     CellSelectionQA,
@@ -90,6 +92,77 @@ class TestProtocolConformance:
         else:
             result = predictor.evaluate(examples)
         assert result and all(isinstance(v, float) for v in result.values())
+
+
+class TestOneEncoderPath:
+    @pytest.mark.parametrize("task", ALL_TASKS)
+    def test_loss_and_predict_reach_the_encoder_through_hidden(
+            self, task, bert, tapas, wiki_tables, rng, monkeypatch):
+        predictor, examples = _predictor_and_examples(
+            task, bert, tapas, wiki_tables, rng)
+        calls = []
+        for name in ("hidden", "batch"):
+            def spy(self, *args, _name=name,
+                    _original=getattr(TableEncoder, name), **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(TableEncoder, name, spy)
+        predictor.loss(examples)
+        assert calls and set(calls) == {"hidden"}
+        calls.clear()
+        predictor.predict(examples, batch_size=2)
+        assert calls and set(calls) == {"hidden"}
+
+    @pytest.mark.parametrize("task", ALL_TASKS)
+    def test_cache_moves_no_answer(self, task, bert, tapas, wiki_tables,
+                                   rng):
+        predictor, examples = _predictor_and_examples(
+            task, bert, tapas, wiki_tables, rng)
+
+        def answers():
+            # Retrieval embeds its uncached corpus as one padded batch,
+            # so only its labels are comparable bit for bit.
+            return [(p.label, None if task == "retrieval"
+                     else float(p.score).hex())
+                    for p in predictor.predict(examples, batch_size=1)]
+
+        uncached = answers()
+        predictor.encoder.set_encoding_cache(EncodingCache())
+        try:
+            cached = answers()
+        finally:
+            predictor.encoder.set_encoding_cache(None)
+        assert cached == uncached
+
+    def test_training_forward_bypasses_the_cache(self, bert, wiki_tables,
+                                                 rng):
+        predictor, examples = _predictor_and_examples(
+            "nli", bert, None, wiki_tables, rng)
+        cache = EncodingCache()
+        bert.set_encoding_cache(cache)
+        try:
+            predictor.loss(examples).backward()
+        finally:
+            bert.set_encoding_cache(None)
+        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+        assert bert.token_embedding.weight.grad is not None
+
+    def test_callers_outside_predict_use_the_cache(self, bert, wiki_tables):
+        # evaluate reaches encode, index and rank outside predict's
+        # inference scope, so each enters it itself.
+        retriever = BiEncoderRetriever(bert, corpus=wiki_tables)
+        cache = EncodingCache()
+        bert.set_encoding_cache(cache)
+        try:
+            for _ in range(2):
+                bert.encode(wiki_tables[0])
+                index = retriever.index(wiki_tables[:3])
+                retriever.rank("which team won", index)
+        finally:
+            bert.set_encoding_cache(None)
+        # Three tables and one query, each encoded once.
+        assert cache.stats()["misses"] == 4
+        assert cache.stats()["hits"] == 6
 
 
 class TestPredictInBatches:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.models import EncoderConfig, TableBert, Tapas
+from repro.models import MODEL_CLASSES, EncoderConfig, TableBert, Tapas
 from repro.tables import Table, TableContext
 from repro.text import train_tokenizer
 from repro.viz import (
     attention_attribution,
+    explain_scalar,
     gradient_saliency,
     render_attribution,
 )
@@ -78,6 +79,27 @@ class TestGradientSaliency:
     def test_rejects_nonscalar(self, model, table):
         with pytest.raises(ValueError):
             gradient_saliency(model, table, scalar_fn=lambda h: h[:, 0])
+
+    @pytest.mark.parametrize("name", sorted(set(MODEL_CLASSES) - {"tapex"}))
+    def test_explains_the_states_the_model_computes(self, name, tokenizer,
+                                                    table):
+        # Every stack, mask and bias of the family: TaBERT's vertical
+        # layers, TABBIE's column view and TUTA's tree bias included.
+        config = EncoderConfig(vocab_size=len(tokenizer.vocab), dim=16,
+                               num_heads=2, num_layers=2, hidden_dim=32,
+                               max_position=160, num_entities=8)
+        model = MODEL_CLASSES[name](config, tokenizer,
+                                    np.random.default_rng(0))
+        batch, _ = model.batch([table], ["what is the capital"])
+        seen = []
+
+        def scalar(hidden):
+            seen.append(hidden.numpy().copy())
+            return (hidden * hidden).sum()
+
+        explain_scalar(model, batch, scalar)
+        model.eval()
+        assert seen[0].tobytes() == model(batch).numpy().tobytes()
 
 
 class TestAttentionAttribution:
